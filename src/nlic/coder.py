@@ -174,6 +174,13 @@ def read_container(data: bytes):
     (version,) = struct.unpack_from("<H", data, 4)
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported container version {version}")
+    # lengths before the CRC: a cut-off container must read as truncated,
+    # not as corrupt
+    len_z, len_y, len_x = struct.unpack_from("<3I", data, 86)
+    declared = HEADER_SIZE + len_z + len_y + len_x + 4
+    if declared != len(data):
+        error = TruncationError if declared > len(data) else IntegrityError
+        raise error(f"segment lengths declare {declared} bytes, container has {len(data)}")
     stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
     actual_crc = zlib.crc32(data[:-4])
     if stored_crc != actual_crc:
@@ -182,9 +189,6 @@ def read_container(data: bytes):
     width, height, padded_w, padded_h = struct.unpack_from("<4I", data, 6)
     config_hash = data[22:54]
     weight_hash = data[54:86]
-    len_z, len_y, len_x = struct.unpack_from("<3I", data, 86)
-    if HEADER_SIZE + len_z + len_y + len_x + 4 != len(data):
-        raise TruncationError("segment lengths do not match container size")
     off = HEADER_SIZE
     seg_z = data[off:off + len_z]
     off += len_z

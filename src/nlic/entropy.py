@@ -284,29 +284,52 @@ def determinize(weights, means, scales, grid: SymbolGrid, k_axis: int = -1):
 def build_cdf(pmf: np.ndarray) -> np.ndarray:
     """Quantize a discrete pmf to a strictly increasing integer CDF.
 
-    Floor-quantizes the cumulative onto 2^16 and then repairs empty bins by
-    stealing from the currently largest bin (ties to the lowest symbol
-    index). Returns cum[0..n] as uint32 with cum[0] = 0, cum[n] = 2^16;
-    every symbol keeps probability >= 1/2^16.
+    Floor-quantizes the cumulative onto 2^16 and then repairs the E empty
+    bins: each gets 1, taken one unit at a time from the currently largest
+    bin, ties to the lowest symbol index. Returns cum[0..n] as uint32 with
+    cum[0] = 0, cum[n] = 2^16; every symbol keeps probability >= 1/2^16.
+
+    The steals are computed in closed form. A donor never falls below 1, so
+    a repaired bin (count 1) is never chosen again and only the originally
+    non-empty bins give mass. Taking E units from the largest of those, one
+    at a time, lowers them to a water level T: T is the smallest integer
+    with excess(T) = sum(max(0, c - T)) <= E. Every bin above T is cut to
+    T, and the remaining r = E - excess(T) units come from the r
+    lowest-index bins with count >= T, which is the order the one-at-a-time
+    steals take them in.
     """
-    p = np.asarray(pmf, dtype=np.float64)
+    p = np.asarray(pmf, dtype=np.float64).ravel()
     n = p.size
     if n > CDF_TOTAL // 2:
         raise PrecisionError(
             f"support size {n} exceeds {CDF_TOTAL // 2}; cannot give every symbol mass")
-    cum = np.floor(np.concatenate(([0.0], np.cumsum(p))) * CDF_TOTAL).astype(np.int64)
-    cum[0] = 0
+    cum = np.zeros(n + 1)
+    np.add.accumulate(p, out=cum[1:])
+    cum *= CDF_TOTAL
+    np.floor(cum, out=cum)
+    cum = cum.astype(np.int64)
     cum[-1] = CDF_TOTAL
-    counts = np.diff(cum)  # nonnegative, sums to exactly CDF_TOTAL
-    for i in np.flatnonzero(counts == 0):
-        j = int(np.argmax(counts))  # argmax takes the lowest index on ties
-        if counts[j] < 2:
-            raise PrecisionError("cannot repair CDF: no bin has spare mass")
-        counts[j] -= 1
-        counts[i] += 1
-    out = np.zeros(n + 1, dtype=np.uint32)
-    np.cumsum(counts, out=out[1:])
-    return out
+    counts = cum[1:] - cum[:-1]  # nonnegative, sums to exactly CDF_TOTAL
+    n_empty = n - int(np.count_nonzero(counts))
+    if n_empty == 0:
+        return cum.astype(np.uint32)
+    # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
+    # nondecreasing in k. The first m bins, those with excess(s[m]) > E,
+    # are cut, to T = ceil((sum(s[:m]) - E) / m).
+    s = np.sort(counts)[::-1]
+    top = np.add.accumulate(s)
+    m = int((top - np.arange(1, n + 1) * s).searchsorted(n_empty, side="right"))
+    cut = int(top[m - 1]) - n_empty
+    level = -(-cut // m)
+    spare = m * level - cut  # r: units still to take from bins at level T
+    if level - (spare > 0) < 1:
+        raise PrecisionError("cannot repair CDF: no bin has spare mass")
+    np.minimum(counts, level, out=counts)
+    if spare:
+        counts[(counts == level).nonzero()[0][:spare]] = level - 1
+    np.maximum(counts, 1, out=counts)  # every donor kept >= 1: only empty bins are 0
+    np.add.accumulate(counts, out=cum[1:])
+    return cum.astype(np.uint32)
 
 
 def cdf_bits(cdf: np.ndarray, symbol_index: int) -> float:

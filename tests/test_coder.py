@@ -188,3 +188,15 @@ class TestContainer:
         blob = write_container(self._header(), b"abc", b"", b"")
         with pytest.raises(TruncationError):
             read_container(blob[:50])
+
+    @pytest.mark.parametrize("cut", range(1, 9))
+    def test_cut_tail_is_truncation(self, cut):
+        blob = write_container(self._header(), b"abcdef", b"gh", b"ijklm")
+        with pytest.raises(TruncationError):
+            read_container(blob[:-cut])
+
+    def test_trailing_bytes_fail(self):
+        blob = write_container(self._header(), b"abc", b"de", b"f")
+        with pytest.raises(IntegrityError, match="declare") as info:
+            read_container(blob + b"\x00")
+        assert not isinstance(info.value, TruncationError)

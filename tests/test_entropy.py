@@ -1,11 +1,14 @@
 """Entropy model tests: pmf normalization, erf oracle, CDF quantization,
 quantizers, determinization lattices."""
 
+import hashlib
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlic import entropy as E
 from nlic.errors import ContractViolation, PrecisionError
@@ -227,6 +230,139 @@ class TestBuildCdf:
         w, mu, sd = random_gmm_params(rng, (), 3, E.LATENT_GRID)
         pmf = E.gmm_pmf_table(w, mu, sd, E.LATENT_GRID)
         np.testing.assert_array_equal(E.build_cdf(pmf), E.build_cdf(pmf.copy()))
+
+
+def _build_cdf_loop(pmf):
+    """Reference build_cdf: repairs empty bins one at a time, each taking 1
+    from the currently largest bin (np.argmax: ties to the lowest index)."""
+    p = np.asarray(pmf, dtype=np.float64)
+    n = p.size
+    if n > E.CDF_TOTAL // 2:
+        raise PrecisionError(
+            f"support size {n} exceeds {E.CDF_TOTAL // 2}; cannot give every symbol mass")
+    cum = np.floor(np.concatenate(([0.0], np.cumsum(p))) * E.CDF_TOTAL).astype(np.int64)
+    cum[0] = 0
+    cum[-1] = E.CDF_TOTAL
+    counts = np.diff(cum)
+    for i in np.flatnonzero(counts == 0):
+        j = int(np.argmax(counts))
+        if counts[j] < 2:
+            raise PrecisionError("cannot repair CDF: no bin has spare mass")
+        counts[j] -= 1
+        counts[i] += 1
+    out = np.zeros(n + 1, dtype=np.uint32)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+# mean offsets from the grid centre, in symbol steps: on a symbol, off it, on
+# a bin edge, and on the lowest symbol (tail-absorbing first bin)
+LADDER_MEAN_OFFSETS = (0.0, 0.37, 0.5, -127.0)
+
+
+def ladder_pmf_rows(grid):
+    """Determinized K=1 pmf rows at every scale of the ladder, SCALE_FLOOR to
+    the grid span, for each of LADDER_MEAN_OFFSETS."""
+    levels = np.arange(E.SCALE_LEVELS) / (E.SCALE_LEVELS - 1)
+    scales = E.SCALE_FLOOR * (grid.span / E.SCALE_FLOOR) ** levels
+    centre = grid.value((grid.lo + grid.hi) // 2)
+    mu, sd = np.broadcast_arrays(
+        centre + np.asarray(LADDER_MEAN_OFFSETS)[:, None] * grid.step_norm, scales)
+    w, m, s = E.determinize(np.ones(mu.shape + (1,)), mu[..., None], sd[..., None], grid)
+    return E.gmm_pmf_table(w, m, s, grid).reshape(-1, grid.n_symbols)
+
+
+def pinned_pmf_rows():
+    """Fixed-seed rows from both grids: 64 determinized 3-component mixtures
+    each, then the ladder rows."""
+    rng = np.random.default_rng(20220829)
+    rows = []
+    for grid in (E.PIXEL_GRID, E.LATENT_GRID):
+        w, mu, sd = random_gmm_params(rng, (64,), 3, grid)
+        rows += list(E.gmm_pmf_table(*E.determinize(w, mu, sd, grid), grid))
+        rows += list(ladder_pmf_rows(grid))
+    return rows
+
+
+@st.composite
+def dyadic_pmfs(draw):
+    """pmfs c / 2^16 whose floor-quantized counts are exactly c.
+
+    c has n >= 2 bins, a drawn share of them empty, and 1 <= t <= 8
+    largest bins at random positions that tie at B (the CDF_TOTAL % t units
+    left over go, one each, to the first of them, which tie one above B).
+    """
+    n = draw(st.integers(2, 300))
+    n_top = draw(st.integers(1, min(n, 8)))
+    empty_share = draw(st.floats(0.0, 1.0))
+    small_max = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(1, small_max, size=n, endpoint=True)
+    counts[rng.random(n) < empty_share] = 0
+    top = np.sort(rng.permutation(n)[:n_top])
+    counts[top] = 0
+    rest = E.CDF_TOTAL - int(counts.sum())
+    counts[top] = rest // n_top
+    counts[top[:rest % n_top]] += 1
+    return counts / E.CDF_TOTAL
+
+
+class TestBuildCdfOracle:
+    """The closed-form build_cdf against the steal loop, bit for bit."""
+
+    @staticmethod
+    def assert_same(pmf):
+        got = E.build_cdf(pmf)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, _build_cdf_loop(pmf))
+
+    @pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID], ids=["pixel", "latent"])
+    def test_scale_ladder_rows(self, grid, rng):
+        rows = ladder_pmf_rows(grid)
+        w, mu, sd = random_gmm_params(rng, (128,), 3, grid)
+        sd[:32] = E.SCALE_FLOOR
+        rows = np.concatenate([rows, E.gmm_pmf_table(*E.determinize(w, mu, sd, grid), grid)])
+        for pmf in rows:
+            self.assert_same(pmf)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(dyadic_pmfs())
+    def test_random_counts(self, pmf):
+        self.assert_same(pmf)
+
+    @pytest.mark.parametrize("counts, repaired", [
+        # n = 2, either side empty
+        ([0, 65536], [1, 65535]),
+        ([65536, 0], [65535, 1]),
+        # two tied largest bins, one empty bin: r = 1, the lower index gives
+        ([0, 30000, 30000, 5536], [1, 29999, 30000, 5536]),
+        # three empty bins cut bins 1 and 3 to T = 30767, and then r = 1
+        ([0, 30768, 0, 30768, 4000, 0], [1, 30766, 1, 30767, 4000, 1]),
+    ])
+    def test_ties_and_remainder(self, counts, repaired):
+        pmf = np.array(counts) / E.CDF_TOTAL
+        np.testing.assert_array_equal(np.diff(E.build_cdf(pmf).astype(np.int64)), repaired)
+        self.assert_same(pmf)
+
+    def test_support_limit(self):
+        half = E.CDF_TOTAL // 2
+        delta = np.zeros(half)
+        delta[half // 3] = 1.0
+        self.assert_same(delta)
+        for build in (E.build_cdf, _build_cdf_loop):
+            with pytest.raises(PrecisionError, match="exceeds"):
+                build(np.full(half + 1, 1.0 / (half + 1)))
+
+    def test_bytes_pinned(self):
+        # sha256 of the uint32 little-endian tables of pinned_pmf_rows(),
+        # concatenated. The digest was computed with the steal-loop
+        # build_cdf (_build_cdf_loop above), before the closed form
+        # replaced it; any change to the tables changes the coded bytes.
+        digest = hashlib.sha256()
+        for pmf in pinned_pmf_rows():
+            digest.update(E.build_cdf(pmf).astype("<u4").tobytes())
+        assert digest.hexdigest() == (
+            "4463c2d229d6b59ef3e643211719614244aaa570f6de8ff5cafe29c6ddbff370")
 
 
 class TestSymbolGrid:
