@@ -54,14 +54,17 @@ class RangeEncoder:
         self.symbol_count = 0
 
     def encode_symbol(self, symbol: int, cdf: np.ndarray) -> None:
-        """cdf is the cumulative table from build_cdf; symbol indexes its bins."""
+        """cdf is the cumulative table from build_cdf; symbol indexes its bins.
+
+        cdf must be an ndarray: its entries are read with ndarray.item.
+        """
         if self._finished:
             raise ContractViolation("encoder already finished")
         if symbol < 0 or symbol >= len(cdf) - 1:
             raise ContractViolation(
                 f"symbol {symbol} outside CDF support of {len(cdf) - 1}")
-        cum_lo = int(cdf[symbol])
-        cum_hi = int(cdf[symbol + 1])
+        cum_lo = cdf.item(symbol)
+        cum_hi = cdf.item(symbol + 1)
         if cum_hi <= cum_lo:
             raise ContractViolation(f"CDF not strictly increasing at symbol {symbol}")
         r = self._range >> CDF_PRECISION
@@ -114,15 +117,20 @@ class RangeDecoder:
         return b
 
     def decode_symbol(self, cdf: np.ndarray) -> int:
+        """Next symbol under cdf, the table the encoder used for it.
+
+        cdf must be an ndarray: it is read with ndarray.item and searched
+        with ndarray.searchsorted.
+        """
         r = self._range >> CDF_PRECISION
         target = self._code // r
-        total = int(cdf[-1])
+        total = cdf.item(-1)
         if target >= total:
             target = total - 1
         # binary search: greatest s with cdf[s] <= target
-        symbol = int(np.searchsorted(cdf, target, side="right")) - 1
-        cum_lo = int(cdf[symbol])
-        cum_hi = int(cdf[symbol + 1])
+        symbol = int(cdf.searchsorted(target, side="right")) - 1
+        cum_lo = cdf.item(symbol)
+        cum_hi = cdf.item(symbol + 1)
         self._code -= r * cum_lo
         self._range = r * (cum_hi - cum_lo)
         while self._range < _TOP:

@@ -11,6 +11,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -81,20 +82,90 @@ LATENT_GRID = SymbolGrid(lo=-127, hi=127, step_norm=1.0, lo_value=-127.0)
 # ---------------------------------------------------------------------------
 
 
+# scipy's ndtr is exactly 0.0 for z <= -37.677 and exactly 1.0 for z >= 8.2924.
+# The window bounds sit outside both with a margin; tests/test_entropy.py checks
+# the saturation against the installed scipy, so a scipy with another tail
+# fails the suite instead of changing the coded bytes.
+NDTR_ZERO_Z = -38.5
+NDTR_ONE_Z = 8.5
+
+
+def _mixture(weights, means, scales):
+    """float64 (w, mu, sd), checked once per call: means and scales share one
+    shape [..., K] and weights end in the same K; means are finite, scales
+    finite and positive, weights finite and nonnegative."""
+    w = np.asarray(weights, dtype=np.float64)
+    mu = np.asarray(means, dtype=np.float64)
+    sd = np.asarray(scales, dtype=np.float64)
+    if mu.ndim < 1 or w.ndim < 1 or mu.shape != sd.shape or w.shape[-1] != mu.shape[-1]:
+        raise ContractViolation(
+            f"mixture shapes differ: weights {w.shape}, means {mu.shape}, scales {sd.shape}")
+    if not np.isfinite(mu).all():
+        raise ContractViolation("mixture means must be finite")
+    if not ((sd > 0) & (sd < np.inf)).all():
+        raise ContractViolation("mixture scales must be finite and positive")
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise ContractViolation("mixture weights must be finite and nonnegative")
+    return w, mu, sd
+
+
+@lru_cache(maxsize=8)
+def _edge_tables(grid: SymbolGrid):
+    """Read-only bin edges of grid and the saturated cdf rows that prefill a
+    windowed table: row k is 0.0 before edge k and 1.0 from it on."""
+    edges = grid.edges()
+    steps = np.triu(np.ones((edges.size + 1, edges.size)))
+    edges.flags.writeable = steps.flags.writeable = False
+    return edges, steps
+
+
 def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     """Discrete pmf over the full support for every leading-index location.
 
     weights/means/scales have shape [..., K]; the result has shape
-    [..., n_symbols]. The mixture cumulative is evaluated at the bin edges
-    and the first/last bins absorb the tails, so each row sums to one by
-    construction (up to float addition).
+    [..., n_symbols]. Each component's normal cumulative is evaluated at the
+    bin edges, the first and last edges are set to 0 and 1 so the end bins
+    absorb the tails, and the weighted bin differences are summed; each row
+    sums to one by construction (up to float addition). Raises
+    ContractViolation for non-finite means, non-finite or non-positive
+    scales, negative or non-finite weights, or mismatched shapes.
+
+    ndtr is needed only inside each component's live window, the edges e
+    with mu + NDTR_ZERO_Z*sd <= e < mu + NDTR_ONE_Z*sd, each bound widened
+    by a slack. Below the window ndtr((e - mu)/sd) is exactly 0.0 and above
+    it exactly 1.0. The slack exceeds the rounding error of computing the
+    two bounds (an absolute error of one subnormal step included), so an
+    edge outside the window is, in exact arithmetic, beyond them; its
+    computed z then differs from a z beyond NDTR_ZERO_Z or NDTR_ONE_Z by
+    two roundings, far less than the margin to ndtr's saturation points.
+    Inside the window z comes from the same float operations as on every
+    edge. The table is therefore bit-identical to evaluating ndtr on all
+    edges.
+
+    When the windows cover less than half of the edges, the live edges of
+    all components are gathered into one ndtr call and scattered into a
+    table prefilled with the saturated values. Otherwise, as for wide
+    scales, the gather and scatter would cost more than the calls they
+    skip, and ndtr runs on every edge.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    mu = np.asarray(means, dtype=np.float64)
-    sd = np.asarray(scales, dtype=np.float64)
-    edges = grid.edges()
-    z = (edges - mu[..., None]) / sd[..., None]  # [..., K, n+1]
-    cdf = ndtr(z)
+    w, mu, sd = _mixture(weights, means, scales)
+    edges, steps = _edge_tables(grid)
+    mu_f, sd_f = mu.ravel(), sd.ravel()
+    slack = 2.0 ** -49 * (np.abs(mu_f) + 40.0 * sd_f) + 2.0 ** -1070
+    a = edges.searchsorted(mu_f + NDTR_ZERO_Z * sd_f - slack)
+    b = edges.searchsorted(mu_f + NDTR_ONE_Z * sd_f + slack)
+    live = b - a
+    total = int(live.sum())
+    if 2 * total < live.size * edges.size:
+        cdf = steps[b]
+        # edge column of each live edge, then its flat position in cdf
+        col = np.arange(total) + np.repeat(a - (np.cumsum(live) - live), live)
+        z = (edges[col] - np.repeat(mu_f, live)) / np.repeat(sd_f, live)
+        col += np.repeat(np.arange(0, cdf.size, edges.size), live)
+        cdf.reshape(-1)[col] = ndtr(z)
+        cdf = cdf.reshape(mu.shape + edges.shape)
+    else:
+        cdf = ndtr((edges - mu[..., None]) / sd[..., None])
     cdf[..., 0] = 0.0
     cdf[..., -1] = 1.0
     pmf_k = np.diff(cdf, axis=-1)
@@ -105,9 +176,7 @@ def gmm_pmf(symbol: int, weights, means, scales, grid: SymbolGrid) -> float:
     """Probability mass of one integer symbol under a per-location mixture."""
     if symbol < grid.lo or symbol > grid.hi:
         raise ContractViolation(f"symbol {symbol} outside grid [{grid.lo}, {grid.hi}]")
-    w = np.asarray(weights, dtype=np.float64)
-    mu = np.asarray(means, dtype=np.float64)
-    sd = np.asarray(scales, dtype=np.float64)
+    w, mu, sd = _mixture(weights, means, scales)
     v = grid.value(symbol)
     half = grid.step_norm / 2.0
     upper = np.ones_like(mu) if symbol == grid.hi else ndtr((v + half - mu) / sd)
@@ -288,6 +357,8 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     bins: each gets 1, taken one unit at a time from the currently largest
     bin, ties to the lowest symbol index. Returns cum[0..n] as uint32 with
     cum[0] = 0, cum[n] = 2^16; every symbol keeps probability >= 1/2^16.
+    A pmf whose floored total is NaN or outside [0, 2^16] raises
+    ContractViolation.
 
     The steals are computed in closed form. A donor never falls below 1, so
     a repaired bin (count 1) is never chosen again and only the originally
@@ -307,6 +378,11 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     np.add.accumulate(p, out=cum[1:])
     cum *= CDF_TOTAL
     np.floor(cum, out=cum)
+    # a NaN, negative or above-one total leaves counts that the repair
+    # cannot make positive; the last cumulative shows it without a pass
+    # over the row
+    if not 0.0 <= cum[-1] <= CDF_TOTAL:
+        raise ContractViolation(f"pmf cumulative {cum[-1] / CDF_TOTAL} is not in [0, 1]")
     cum = cum.astype(np.int64)
     cum[-1] = CDF_TOTAL
     counts = cum[1:] - cum[:-1]  # nonnegative, sums to exactly CDF_TOTAL

@@ -1,5 +1,6 @@
 """Range coder round-trip fuzzing, codelength bounds, container format."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -71,6 +72,23 @@ class TestRangeCoderRoundTrip:
                 assert dec.decode_symbol(cdfs[c]) == s
             total_symbols += count
         assert total_symbols >= 10 ** 6
+
+    def test_bytes_pinned(self):
+        # sha256 of a fixed-seed stream over 40 CDFs; the digest was computed
+        # with the coder reading the CDF through int(cdf[i]) and
+        # np.searchsorted, before cdf.item and cdf.searchsorted replaced them
+        rng = np.random.default_rng(20221018)
+        cdfs = [random_cdf(rng, int(rng.integers(2, 300))) for _ in range(40)]
+        picks = rng.integers(0, len(cdfs), size=20000)
+        symbols = [int(rng.integers(0, cdfs[c].size - 1)) for c in picks]
+        enc = RangeEncoder()
+        for s, c in zip(symbols, picks):
+            enc.encode_symbol(s, cdfs[c])
+        data = enc.finish()
+        assert hashlib.sha256(data).hexdigest() == (
+            "6947a9368cb167f9cb369ec6c449da04378fa4f62678cd1a30fd76da93b011ce")
+        dec = RangeDecoder(data)
+        assert [dec.decode_symbol(cdfs[c]) for c in picks] == symbols
 
     def test_symbol_out_of_support(self, rng):
         cdf = random_cdf(rng, 4)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from nlic import entropy as E
 from nlic.errors import ContractViolation, PrecisionError
@@ -63,6 +64,209 @@ class TestGmmPmf:
     def test_symbol_out_of_grid(self):
         with pytest.raises(ContractViolation):
             E.gmm_pmf(300, [1.0], [0.0], [1.0], E.PIXEL_GRID)
+
+
+def _gmm_pmf_table_full(weights, means, scales, grid):
+    """Reference gmm_pmf_table: ndtr on every edge of every component."""
+    w = np.asarray(weights, dtype=np.float64)
+    mu = np.asarray(means, dtype=np.float64)
+    sd = np.asarray(scales, dtype=np.float64)
+    edges = grid.edges()
+    z = (edges - mu[..., None]) / sd[..., None]  # [..., K, n+1]
+    cdf = ndtr(z)
+    cdf[..., 0] = 0.0
+    cdf[..., -1] = 1.0
+    pmf_k = np.diff(cdf, axis=-1)
+    return np.einsum("...k,...ks->...s", w, pmf_k)
+
+
+GRIDS = pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID], ids=["pixel", "latent"])
+
+# where scipy's ndtr saturates: exactly 0.0 at and below the first, exactly
+# 1.0 at and above the second
+NDTR_SATURATION_Z = (-37.67712072049519, 8.292361075813597)
+
+
+def ulp_neighbours(x, steps=2):
+    """x and the `steps` floats on either side of it."""
+    out = [float(x)]
+    for direction in (-np.inf, np.inf):
+        y = float(x)
+        for _ in range(steps):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+@st.composite
+def mixture_batches(draw):
+    """(w, mu, sd, grid) with [L, K] parameters. Each component's scale is
+    drawn from the determinize range or from anywhere in (0, 1e6], subnormal
+    included; its mean is drawn freely (beyond the grid too) or placed so
+    that mu + Z*sd falls on a bin edge, for Z a window constant or an ndtr
+    saturation point, up to 2 ulps either side."""
+    grid = draw(st.sampled_from([E.PIXEL_GRID, E.LATENT_GRID]))
+    edges = grid.edges()
+    k = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 5))
+    mu = np.empty((n_rows, k))
+    sd = np.empty((n_rows, k))
+    for i in np.ndindex(mu.shape):
+        sd[i] = draw(st.one_of(st.floats(E.SCALE_FLOOR, grid.span),
+                               st.floats(5e-324, 1e6, exclude_min=False)))
+        if draw(st.booleans()):
+            mu[i] = draw(st.floats(-3 * grid.span, 3 * grid.span))
+        else:
+            edge = edges[draw(st.integers(0, edges.size - 1))]
+            z = draw(st.sampled_from([E.NDTR_ZERO_Z, E.NDTR_ONE_Z, *NDTR_SATURATION_Z]))
+            mu[i] = draw(st.sampled_from(ulp_neighbours(edge - z * sd[i])))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=mu.size, max_size=mu.size)))
+    return w.reshape(mu.shape), mu, sd, grid
+
+
+class TestGmmPmfTableOracle:
+    """The windowed gmm_pmf_table against ndtr on every edge, bit for bit."""
+
+    @staticmethod
+    def assert_same(w, mu, sd, grid):
+        with np.errstate(over="ignore"):
+            expected = _gmm_pmf_table_full(w, mu, sd, grid)
+            got = E.gmm_pmf_table(w, mu, sd, grid)
+        np.testing.assert_array_equal(got, expected)
+
+    @GRIDS
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 3)], ids=["scalar", "L", "LC"])
+    def test_components_and_shapes(self, grid, k, shape, rng):
+        for _ in range(8):
+            w, mu, sd = random_gmm_params(rng, shape, k, grid)
+            self.assert_same(w, mu, sd, grid)
+            self.assert_same(*E.determinize(w, mu, sd, grid), grid)
+
+    @GRIDS
+    @pytest.mark.parametrize("at", ["floor", "span"])
+    def test_scale_ends(self, grid, at, rng):
+        w, mu, sd = random_gmm_params(rng, (64,), 3, grid)
+        sd[:] = E.SCALE_FLOOR if at == "floor" else grid.span
+        self.assert_same(w, mu, sd, grid)
+        self.assert_same(*E.determinize(w, mu, sd, grid), grid)
+
+    @GRIDS
+    def test_means_beyond_grid(self, grid, rng):
+        w, _, sd = random_gmm_params(rng, (64,), 2, grid)
+        beyond = rng.uniform(0.0, 3 * grid.span, size=sd.shape)
+        lo, hi = grid.value(grid.lo), grid.value(grid.hi)
+        mu = np.where(rng.random(sd.shape) < 0.5, lo - beyond, hi + beyond)
+        mu[0] = [lo - 1e6, hi + 1e6]
+        for scales in (sd, np.full_like(sd, E.SCALE_FLOOR), np.full_like(sd, grid.span)):
+            self.assert_same(w, mu, scales, grid)
+
+    @GRIDS
+    @pytest.mark.parametrize("z", [E.NDTR_ZERO_Z, E.NDTR_ONE_Z, *NDTR_SATURATION_Z],
+                             ids=["zero-bound", "one-bound", "zero-saturation", "one-saturation"])
+    def test_window_bound_on_edge(self, grid, z):
+        # mu + z*sd on a bin edge, and 1 and 2 ulps of mu either side of it;
+        # each scale is its own call, so the narrow ones take the gather
+        edges = grid.edges()
+        on_edge = 0
+        for scale in (E.SCALE_FLOOR, 2.0 ** -10, 0.37, grid.span / 7):
+            mu = np.array([ulp_neighbours(e - z * scale) for e in edges])
+            on_edge += np.count_nonzero(mu + z * scale == edges[:, None])
+            self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, scale), grid)
+        assert on_edge >= edges.size
+
+    @GRIDS
+    @pytest.mark.parametrize("scale", [1e-17, 1e-300, 5e-324])
+    def test_tiny_scales(self, grid, scale):
+        # mu + Z*sd rounds to mu: edges on mu and 1-2 ulps from it
+        edges = grid.edges()
+        mu = np.array([ulp_neighbours(e) for e in edges[::17]])
+        self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, scale), grid)
+
+    def test_subnormal_scale_bounds(self):
+        # 8.5 * 2^-1074 rounds to 8 * 2^-1074, so for mu = -8 * 2^-1074 the
+        # computed upper bound lands on the edge at 0, where z = 8 and ndtr
+        # is not yet 1: the slack must cover the rounding of a subnormal
+        grid = E.SymbolGrid(lo=0, hi=7, step_norm=1.0, lo_value=-3.5)  # edges -4..4
+        tiny = 5e-324
+        mu = np.arange(-40, 41)[:, None] * tiny
+        self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, tiny), grid)
+
+    @GRIDS
+    def test_each_branch(self, grid, monkeypatch, rng):
+        shapes = []
+
+        def recording_ndtr(z, *args, **kwargs):
+            shapes.append(np.shape(z))
+            return ndtr(z, *args, **kwargs)
+
+        monkeypatch.setattr(E, "ndtr", recording_ndtr)
+        w, mu, sd = random_gmm_params(rng, (16, 3), 3, grid)
+        n_edges = grid.n_symbols + 1
+        few_wide = np.where(rng.random(sd.shape) < 0.2, grid.span, E.SCALE_FLOOR)
+        many_wide = np.where(rng.random(sd.shape) < 0.8, grid.span, E.SCALE_FLOOR)
+        for scales, gathered in ((np.full_like(sd, E.SCALE_FLOOR), True), (few_wide, True),
+                                 (many_wide, False), (np.full_like(sd, grid.span), False)):
+            shapes.clear()
+            self.assert_same(w, mu, scales, grid)
+            (shape,) = shapes
+            if gathered:
+                assert len(shape) == 1 and 2 * shape[0] < mu.size * n_edges
+            else:
+                assert shape == mu.shape + (n_edges,)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(mixture_batches())
+    def test_random_batches(self, batch):
+        self.assert_same(*batch)
+
+
+class TestNdtrSaturation:
+    """gmm_pmf_table fills the edges outside its windows with 0.0 and 1.0
+    instead of calling ndtr there: a scipy whose ndtr tail differs must fail
+    here, not change the coded bytes."""
+
+    def test_zero_at_and_below_low_bound(self):
+        z = np.concatenate([
+            np.linspace(E.NDTR_ZERO_Z - 100.0, E.NDTR_ZERO_Z, 10 ** 6),
+            -np.logspace(np.log10(-E.NDTR_ZERO_Z), 308, 10 ** 4),
+            [np.nextafter(E.NDTR_ZERO_Z, -np.inf), -np.finfo(np.float64).max, -np.inf]])
+        assert (ndtr(z) == 0.0).all()
+        assert ndtr(NDTR_SATURATION_Z[0]) == 0.0 < ndtr(np.nextafter(NDTR_SATURATION_Z[0], 0))
+
+    def test_one_at_and_above_high_bound(self):
+        z = np.concatenate([
+            np.linspace(E.NDTR_ONE_Z, E.NDTR_ONE_Z + 100.0, 10 ** 6),
+            np.logspace(np.log10(E.NDTR_ONE_Z), 308, 10 ** 4),
+            [np.nextafter(E.NDTR_ONE_Z, np.inf), np.finfo(np.float64).max, np.inf]])
+        assert (ndtr(z) == 1.0).all()
+        assert ndtr(NDTR_SATURATION_Z[1]) == 1.0 > ndtr(np.nextafter(NDTR_SATURATION_Z[1], 0))
+
+
+class TestMixtureContract:
+    @pytest.mark.parametrize("field, value", [
+        ("means", np.nan), ("means", np.inf), ("means", -np.inf),
+        ("scales", 0.0), ("scales", -1.0), ("scales", np.nan), ("scales", np.inf),
+        ("weights", -0.25), ("weights", np.nan), ("weights", np.inf),
+    ])
+    def test_bad_value_rejected(self, field, value, rng):
+        grid = E.PIXEL_GRID
+        params = dict(zip(("weights", "means", "scales"), random_gmm_params(rng, (4, 3), 3, grid)))
+        params[field][2, 1, 0] = value
+        with pytest.raises(ContractViolation, match=field):
+            E.gmm_pmf_table(params["weights"], params["means"], params["scales"], grid)
+        with pytest.raises(ContractViolation, match=field):
+            E.gmm_pmf(7, params["weights"][2, 1], params["means"][2, 1], params["scales"][2, 1],
+                      grid)
+
+    @pytest.mark.parametrize("w_shape, mu_shape, sd_shape", [
+        ((4, 2), (4, 3), (4, 3)), ((4, 3), (4, 2), (4, 3)), ((4, 3), (4, 3), (4, 2)),
+        ((1,), (4, 1), (1,)),  # means and scales must share one shape
+    ])
+    def test_mismatched_shapes_rejected(self, w_shape, mu_shape, sd_shape):
+        with pytest.raises(ContractViolation, match="shapes"):
+            E.gmm_pmf_table(np.ones(w_shape), np.zeros(mu_shape), np.ones(sd_shape),
+                            E.LATENT_GRID)
 
 
 class TestFactorizedPrior:
@@ -225,6 +429,16 @@ class TestBuildCdf:
     def test_support_too_large(self):
         with pytest.raises(PrecisionError):
             E.build_cdf(np.full(40000, 1.0 / 40000.0))
+
+    @pytest.mark.parametrize("pmf", [[0.5, np.nan, 0.5], [0.6] * 3, [-0.5, 0.25]],
+                             ids=["nan", "above-one", "negative"])
+    def test_invalid_total_rejected(self, pmf):
+        with pytest.raises(ContractViolation, match="cumulative"):
+            E.build_cdf(np.array(pmf))
+
+    def test_total_rounding_above_one_accepted(self):
+        cdf = E.build_cdf(np.array([0.5, 0.5 + 1e-9]))
+        np.testing.assert_array_equal(cdf, [0, 32768, 65536])
 
     def test_deterministic(self, rng):
         w, mu, sd = random_gmm_params(rng, (), 3, E.LATENT_GRID)
