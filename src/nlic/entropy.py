@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
+from . import tensor as T
 from .errors import ContractViolation, PrecisionError
 
 CDF_PRECISION = 16
@@ -172,16 +173,19 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     return np.einsum("...k,...ks->...s", w, pmf_k)
 
 
-def gmm_pmf(symbol: int, weights, means, scales, grid: SymbolGrid) -> float:
-    """Probability mass of one integer symbol under a per-location mixture."""
+def _check_symbol(symbol: int, grid: SymbolGrid) -> None:
     if symbol < grid.lo or symbol > grid.hi:
         raise ContractViolation(f"symbol {symbol} outside grid [{grid.lo}, {grid.hi}]")
-    w, mu, sd = _mixture(weights, means, scales)
-    v = grid.value(symbol)
-    half = grid.step_norm / 2.0
-    upper = np.ones_like(mu) if symbol == grid.hi else ndtr((v + half - mu) / sd)
-    lower = np.zeros_like(mu) if symbol == grid.lo else ndtr((v - half - mu) / sd)
-    return float(np.sum(w * (upper - lower)))
+
+
+def gmm_pmf(symbol: int, weights, means, scales, grid: SymbolGrid) -> float:
+    """Probability mass of one integer symbol under a one-location mixture
+    (weights, means and scales of shape [K]): its entry in gmm_pmf_table."""
+    _check_symbol(symbol, grid)
+    table = gmm_pmf_table(weights, means, scales, grid)
+    if table.ndim != 1:
+        raise ContractViolation(f"gmm_pmf takes one location, got {table.shape[:-1]}")
+    return float(table[symbol - grid.lo])
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +193,28 @@ def gmm_pmf(symbol: int, weights, means, scales, grid: SymbolGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
-class FactorizedPrior:
-    """Per-channel monotone cumulative built from three gated affine layers.
+def factorized_cdf(v, h_layers, b_layers, a_layers) -> T.Tensor:
+    """Cumulative of the factorized prior at values v, built from Tensor ops.
 
     Each layer applies softplus(h)*u + b followed by u + tanh(a)*tanh(u);
-    a final sigmoid bounds the result to (0, 1). Positive slopes and
-    |tanh(a)| < 1 make the composition monotone nondecreasing with limits
-    0 and 1, so differences of adjacent evaluations are valid probabilities.
+    a final sigmoid bounds the result to (0, 1). The per-layer parameters
+    broadcast against v and may be arrays or Tensors; gradients reach them
+    when they require one and no_grad is off.
+    """
+    u = v
+    for h, b, a in zip(h_layers, b_layers, a_layers):
+        t = T.add(T.mul(T.softplus(h), u), b)
+        u = T.add(t, T.mul(T.tanh(a), T.tanh(t)))
+    return T.sigmoid(u)
+
+
+class FactorizedPrior:
+    """Per-channel monotone cumulative built from three gated affine layers
+    (factorized_cdf).
+
+    Positive slopes and |tanh(a)| < 1 make the composition monotone
+    nondecreasing with limits 0 and 1, so differences of adjacent
+    evaluations are valid probabilities.
     """
 
     N_LAYERS = 3
@@ -220,16 +239,7 @@ class FactorizedPrior:
 
     def cdf_values(self, v: np.ndarray) -> np.ndarray:
         """Cumulative at values v of shape [..., C] (channel-last)."""
-        u = np.asarray(v, dtype=np.float64)
-        for h, b, a in zip(self.h_layers, self.b_layers, self.a_layers):
-            t = np.logaddexp(0.0, h) * u + b
-            u = t + np.tanh(a) * np.tanh(t)
-        out = np.empty_like(u)
-        np.exp(-np.abs(u), out=out)
-        pos = u >= 0
-        out[pos] = 1.0 / (1.0 + out[pos])
-        out[~pos] = out[~pos] / (1.0 + out[~pos])
-        return out
+        return factorized_cdf(v, self.h_layers, self.b_layers, self.a_layers).data
 
     def pmf_table(self, grid: SymbolGrid) -> np.ndarray:
         """Per-channel pmf over the full support, tails absorbed. [C, n]"""
@@ -244,16 +254,10 @@ class FactorizedPrior:
 
 def factorized_pmf(symbol: int, channel: int, prior: FactorizedPrior,
                    grid: SymbolGrid) -> float:
-    """Probability mass of one symbol in one channel under the prior."""
-    if symbol < grid.lo or symbol > grid.hi:
-        raise ContractViolation(f"symbol {symbol} outside grid [{grid.lo}, {grid.hi}]")
-    v = grid.value(symbol)
-    half = grid.step_norm / 2.0
-    vv = np.array([[v - half], [v + half]])  # [2, 1] channel-last
-    cdf = prior.cdf_values(np.broadcast_to(vv, (2, prior.channels)))
-    lower = 0.0 if symbol == grid.lo else cdf[0, channel]
-    upper = 1.0 if symbol == grid.hi else cdf[1, channel]
-    return float(upper - lower)
+    """Probability mass of one symbol in one channel: its entry in the
+    prior's pmf_table."""
+    _check_symbol(symbol, grid)
+    return float(prior.pmf_table(grid)[channel, symbol - grid.lo])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,8 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     bins: each gets 1, taken one unit at a time from the currently largest
     bin, ties to the lowest symbol index. Returns cum[0..n] as uint32 with
     cum[0] = 0, cum[n] = 2^16; every symbol keeps probability >= 1/2^16.
-    A pmf whose floored total is NaN or outside [0, 2^16] raises
+    A pmf whose floored total is NaN or outside [0, 2^16], or whose
+    floored cumulative decreases anywhere (a negative entry), raises
     ContractViolation.
 
     The steals are computed in closed form. A donor never falls below 1, so
@@ -385,14 +390,19 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
         raise ContractViolation(f"pmf cumulative {cum[-1] / CDF_TOTAL} is not in [0, 1]")
     cum = cum.astype(np.int64)
     cum[-1] = CDF_TOTAL
-    counts = cum[1:] - cum[:-1]  # nonnegative, sums to exactly CDF_TOTAL
-    n_empty = n - int(np.count_nonzero(counts))
+    # a bin is non-empty where the cumulative rises; where a negative pmf
+    # entry makes it fall, the bin counts as empty and reaches the sort
+    # below, which shows the negative count
+    n_empty = n - int(np.count_nonzero(cum[1:] > cum[:-1]))
     if n_empty == 0:
         return cum.astype(np.uint32)
+    counts = cum[1:] - cum[:-1]  # sums to exactly CDF_TOTAL
     # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
     # nondecreasing in k. The first m bins, those with excess(s[m]) > E,
     # are cut, to T = ceil((sum(s[:m]) - E) / m).
     s = np.sort(counts)[::-1]
+    if s[-1] < 0:
+        raise ContractViolation("pmf has a negative entry: its cumulative decreases")
     top = np.add.accumulate(s)
     m = int((top - np.arange(1, n + 1) * s).searchsorted(n_empty, side="right"))
     cut = int(top[m - 1]) - n_empty

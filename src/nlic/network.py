@@ -2,15 +2,17 @@
 simplified attention, the two causal context models, and the parameter
 heads that emit Gaussian-mixture parameters for latents and pixels.
 
-Every layer carries two forward paths over the same parameter arrays: a
-Tensor path that records the autodiff graph (training) and a plain-numpy
-path (coding). Weights are immutable during inference and may be shared
-read-only across threads; training is single-writer.
+Every layer has one forward path, built from Tensor ops. Training runs it
+with graph recording on; coding runs it inside `tensor.no_grad()`, which
+computes the same values without recording the graph, and reads `.data`.
+Weights are immutable during inference and may be shared read-only across
+threads; training is single-writer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -18,9 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .entropy import SCALE_FLOOR, FactorizedPrior
+from .entropy import SCALE_FLOOR, FactorizedPrior, factorized_cdf
 from .errors import ConfigError, ContractViolation
-from .tensor import Tensor, _pad_hw, _windows
+from .tensor import Tensor
 
 WEIGHTS_MAGIC = b"NLW1"
 
@@ -67,7 +69,14 @@ def canonical_config_text(config: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BOOL_LITERALS = {"true": True, "1": True, "yes": True,
+                  "false": False, "0": False, "no": False}
+
+
 def parse_config_text(text: str) -> ModelConfig:
+    """Inverse of canonical_config_text. Raises ConfigError for an unknown
+    key, a non-integer value, or a bool other than true/false/1/0/yes/no
+    (any case)."""
     values = {}
     for line in text.splitlines():
         line = line.strip()
@@ -77,16 +86,16 @@ def parse_config_text(text: str) -> ModelConfig:
         values[key.strip()] = raw.strip()
     kwargs = {}
     for f in fields(ModelConfig):
-        if f.name not in values:
+        raw = values.pop(f.name, None)
+        if raw is None:
             continue
-        raw = values[f.name]
-        if f.type == "bool":
-            kwargs[f.name] = raw.lower() in ("true", "1", "yes")
-        else:
-            kwargs[f.name] = int(raw)
-    unknown = set(values) - {f.name for f in fields(ModelConfig)}
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        try:
+            kwargs[f.name] = _BOOL_LITERALS[raw.lower()] if f.type == "bool" else int(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{f.name}={raw!r} is not a valid {f.type} "
+                              "(bools: true/false/1/0/yes/no)") from None
+    if values:
+        raise ConfigError(f"unknown model config keys: {sorted(values)}")
     return ModelConfig(**kwargs)
 
 
@@ -99,53 +108,13 @@ class GmmParams:
     """Per-symbol mixture parameters, each shaped [B, K, C, h, w].
 
     weights are post-softmax (sum to one over K); scales carry the floor.
-    Payloads are Tensors on the training path and ndarrays on the coding
-    path.
+    Payloads are always Tensors; coding computes them under `no_grad` and
+    reads their `.data`.
     """
 
-    weights: object
-    means: object
-    scales: object
-
-
-# ---------------------------------------------------------------------------
-# numpy mirrors of the forward ops (coding path)
-# ---------------------------------------------------------------------------
-
-
-def conv2d_np(x, w, b, stride=1, pad=0):
-    win = _windows(_pad_hw(x, pad), w.shape[2], w.shape[3], stride)
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b[None, :, None, None]
-
-
-def conv2d_transposed_np(x, w, b, stride=1, pad=0):
-    bsz, ci, h, wd = x.shape
-    _, co, kh, kw = w.shape
-    oh = (h - 1) * stride - 2 * pad + kh
-    ow = (wd - 1) * stride - 2 * pad + kw
-    full = np.zeros((bsz, co, (h - 1) * stride + kh, (wd - 1) * stride + kw))
-    tmp = np.tensordot(x, w, axes=([1], [0]))
-    for u in range(kh):
-        for v in range(kw):
-            full[:, :, u:u + stride * (h - 1) + 1:stride,
-                 v:v + stride * (wd - 1) + 1:stride] += \
-                tmp[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(full[:, :, pad:pad + oh, pad:pad + ow]) \
-        + b[None, :, None, None]
-
-
-def leaky_relu_np(x):
-    return np.where(x >= 0, x, T.LEAKY_SLOPE * x)
-
-
-def sigmoid_np(x):
-    out = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + out), out / (1.0 + out))
-
-
-def softplus_np(x):
-    return np.logaddexp(0.0, x)
+    weights: Tensor
+    means: Tensor
+    scales: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +153,6 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.w, self.b, self.stride, self.pad)
 
-    def apply_np(self, x):
-        return conv2d_np(x, self.w.data, self.b.data, self.stride, self.pad)
-
 
 class ConvTranspose2d:
     def __init__(self, store, name, cin, cout, k, stride, pad):
@@ -199,28 +165,16 @@ class ConvTranspose2d:
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d_transposed(x, self.w, self.b, self.stride, self.pad)
 
-    def apply_np(self, x):
-        return conv2d_transposed_np(x, self.w.data, self.b.data, self.stride, self.pad)
-
 
 class MaskedConv2d:
     def __init__(self, store, name, cin, cout, kernel):
         self.kernel = kernel
-        self.mask = T.causal_mask(kernel)
         self.w = store.add(f"{name}.w", (cout, cin, kernel, kernel), "fan_in",
                            cin * kernel * kernel)
         self.b = store.add(f"{name}.b", (cout,), "zero")
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.masked_conv2d(x, self.w, self.b, self.kernel)
-
-    def apply_np(self, x):
-        return conv2d_np(x, self.w.data * self.mask, self.b.data, 1, self.kernel // 2)
-
-    def flat_masked_weight(self):
-        """[Cout, Cin*k*k] with causal taps only; for per-location decode."""
-        w = self.w.data * self.mask
-        return np.ascontiguousarray(w.reshape(w.shape[0], -1))
 
 
 class ResBlock:
@@ -232,9 +186,6 @@ class ResBlock:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(x, self.conv2(T.leaky_relu(self.conv1(x))))
-
-    def apply_np(self, x):
-        return x + self.conv2.apply_np(leaky_relu_np(self.conv1.apply_np(x)))
 
 
 class AttentionBlock:
@@ -254,30 +205,10 @@ class AttentionBlock:
                                weight_init="small")
 
     def __call__(self, t: Tensor) -> Tensor:
-        u = t
-        for block in self.trunk:
-            u = block(u)
-        u = self.trunk_out(u)
-        m = t
-        for block in self.mask:
-            m = block(m)
-        m = self.mask_out(m)
-        return T.add(t, T.mul(u, T.sigmoid(m)))
-
-    def apply_np(self, t):
-        u = t
-        for block in self.trunk:
-            u = block.apply_np(u)
-        u = self.trunk_out.apply_np(u)
-        m = t
-        for block in self.mask:
-            m = block.apply_np(m)
-        m = self.mask_out.apply_np(m)
-        return t + u * sigmoid_np(m)
-
-
-def _n_stages(factor: int) -> int:
-    return int(round(np.log2(factor)))
+        u = m = t
+        for trunk_block, mask_block in zip(self.trunk, self.mask):
+            u, m = trunk_block(u), mask_block(m)
+        return T.add(t, T.mul(self.trunk_out(u), T.sigmoid(self.mask_out(m))))
 
 
 class Model:
@@ -288,8 +219,8 @@ class Model:
         store = _ParamStore()
         n = config.filters_n
         k = config.mixtures_k
-        n_down = _n_stages(config.downsample_factor)
-        n_hyper = _n_stages(config.hyper_downsample)
+        n_down = config.downsample_factor.bit_length() - 1  # powers of two
+        n_hyper = config.hyper_downsample.bit_length() - 1
         mid = (n_down + 1) // 2
 
         # analysis: stride-2 stages with residual blocks between, attention
@@ -394,17 +325,13 @@ class Model:
             t.data = arr.copy()
         return self
 
-    # -- transforms (Tensor path) -------------------------------------------
+    # -- transforms ----------------------------------------------------------
 
-    def _check_divisible(self, x_shape):
-        h, w = x_shape[2], x_shape[3]
-        d = self.config.total_downsample
+    def analysis(self, x: Tensor) -> Tensor:
+        (h, w), d = x.shape[2:], self.config.total_downsample
         if h % d or w % d:
             raise ContractViolation(
                 f"spatial dims {h}x{w} not divisible by {d}; pad beforehand")
-
-    def analysis(self, x: Tensor) -> Tensor:
-        self._check_divisible(x.shape)
         h = x
         for i, (conv, res) in enumerate(self.ga_stages):
             h = res(T.leaky_relu(conv(h)))
@@ -434,141 +361,49 @@ class Model:
             h = T.leaky_relu(up(h))
         return self.hs_out(h)
 
-    # -- entropy parameter heads (Tensor path) -------------------------------
+    # -- entropy parameter heads ---------------------------------------------
 
-    def _split_params(self, raw: Tensor, coded_channels: int) -> GmmParams:
+    def entropy_params_y(self, hyper_features: Tensor, y_ctx_input: Tensor) -> GmmParams:
+        return self._entropy_params(hyper_features, y_ctx_input, self.ctx_y,
+                                    self.head_y1, self.head_y2, self.config.filters_n)
+
+    def entropy_params_x(self, pixel_features: Tensor, x_ctx_input: Tensor) -> GmmParams:
+        return self._entropy_params(pixel_features, x_ctx_input, self.ctx_x,
+                                    self.head_x1, self.head_x2, 3)
+
+    def _entropy_params(self, features, ctx_input, ctx_conv, head1, head2,
+                        coded_channels) -> GmmParams:
+        """Context features (zeros without a context model) joined to the
+        transform features, then the two 1x1 head convs, split into the
+        mixture parameters of `coded_channels` channels."""
+        if ctx_conv is None:
+            ctx = Tensor(np.zeros((features.shape[0], self.config.filters_n)
+                                  + tuple(features.shape[2:])))
+        elif ctx_input.shape[2:] != features.shape[2:]:
+            raise ContractViolation(
+                f"context/feature spatial mismatch: {ctx_input.shape} vs {features.shape}")
+        else:
+            ctx = ctx_conv(ctx_input)
+        raw = head2(T.leaky_relu(head1(T.concat([features, ctx], axis=1))))
         k = self.config.mixtures_k
         ck = coded_channels * k
         b, _, h, w = raw.shape
-        weights = T.softmax_channel_groups(T.narrow(raw, 1, 0, ck), k)
-        means = T.narrow(raw, 1, ck, ck)
-        scales = T.add(T.softplus(T.narrow(raw, 1, 2 * ck, ck)), SCALE_FLOOR)
 
         def to_bkc(t):
             return T.transpose(T.reshape(t, (b, coded_channels, k, h, w)),
                                (0, 2, 1, 3, 4))
 
-        return GmmParams(to_bkc(weights), to_bkc(means), to_bkc(scales))
-
-    def entropy_params_y(self, hyper_features: Tensor, y_ctx_input: Tensor) -> GmmParams:
-        n = self.config.filters_n
-        if self.ctx_y is not None:
-            if y_ctx_input.shape[2:] != hyper_features.shape[2:]:
-                raise ContractViolation(
-                    f"context/hyper spatial mismatch: {y_ctx_input.shape} vs "
-                    f"{hyper_features.shape}")
-            ctx = self.ctx_y(y_ctx_input)
-        else:
-            shape = (hyper_features.shape[0], n) + tuple(hyper_features.shape[2:])
-            ctx = Tensor(np.zeros(shape))
-        h = T.concat([hyper_features, ctx], axis=1)
-        h = T.leaky_relu(self.head_y1(h))
-        raw = self.head_y2(h)
-        return self._split_params(raw, n)
-
-    def entropy_params_x(self, pixel_features: Tensor, x_ctx_input: Tensor) -> GmmParams:
-        n = self.config.filters_n
-        if self.ctx_x is not None:
-            if x_ctx_input.shape[2:] != pixel_features.shape[2:]:
-                raise ContractViolation(
-                    f"context/feature spatial mismatch: {x_ctx_input.shape} vs "
-                    f"{pixel_features.shape}")
-            ctx = self.ctx_x(x_ctx_input)
-        else:
-            shape = (pixel_features.shape[0], n) + tuple(pixel_features.shape[2:])
-            ctx = Tensor(np.zeros(shape))
-        h = T.concat([pixel_features, ctx], axis=1)
-        h = T.leaky_relu(self.head_x1(h))
-        raw = self.head_x2(h)
-        return self._split_params(raw, 3)
+        return GmmParams(
+            to_bkc(T.softmax_channel_groups(T.narrow(raw, 1, 0, ck), k)),
+            to_bkc(T.narrow(raw, 1, ck, ck)),
+            to_bkc(T.add(T.softplus(T.narrow(raw, 1, 2 * ck, ck)), SCALE_FLOOR)))
 
     # -- factorized prior ----------------------------------------------------
 
     def prior_cdf(self, v: Tensor) -> Tensor:
         """Cumulative of the factorized prior at values [B, C, h, w]."""
-        u = v
-        for i in range(FactorizedPrior.N_LAYERS):
-            h = T.reshape(self.params[f"prior.h{i}"], (1, -1, 1, 1))
-            b = T.reshape(self.params[f"prior.b{i}"], (1, -1, 1, 1))
-            a = T.reshape(self.params[f"prior.a{i}"], (1, -1, 1, 1))
-            t = T.add(T.mul(T.softplus(h), u), b)
-            u = T.add(t, T.mul(T.tanh(a), T.tanh(t)))
-        return T.sigmoid(u)
-
-    def prior_np(self) -> FactorizedPrior:
-        return FactorizedPrior(
-            h_layers=[self.params[f"prior.h{i}"].data for i in range(3)],
-            b_layers=[self.params[f"prior.b{i}"].data for i in range(3)],
-            a_layers=[self.params[f"prior.a{i}"].data for i in range(3)],
-        )
-
-    # -- numpy mirrors (coding path) ------------------------------------------
-
-    def analysis_np(self, x):
-        self._check_divisible(x.shape)
-        h = x
-        for i, (conv, res) in enumerate(self.ga_stages):
-            h = res.apply_np(leaky_relu_np(conv.apply_np(h)))
-            if self.ga_attn is not None and i + 1 == self.ga_attn_after:
-                h = self.ga_attn.apply_np(h)
-        return self.ga_out.apply_np(h)
-
-    def synthesis_np(self, y):
-        h = self.gs_res.apply_np(leaky_relu_np(self.gs_in.apply_np(y)))
-        if self.gs_attn is not None and self.gs_attn_after == 0:
-            h = self.gs_attn.apply_np(h)
-        for i, up in enumerate(self.gs_ups):
-            h = leaky_relu_np(up.apply_np(h))
-            if self.gs_attn is not None and i + 1 == self.gs_attn_after:
-                h = self.gs_attn.apply_np(h)
-        return self.gs_out.apply_np(h)
-
-    def hyper_analysis_np(self, y):
-        h = leaky_relu_np(self.ha_in.apply_np(y))
-        for conv in self.ha_downs:
-            h = leaky_relu_np(conv.apply_np(h))
-        return self.ha_out.apply_np(h)
-
-    def hyper_synthesis_np(self, z):
-        h = z
-        for up in self.hs_ups:
-            h = leaky_relu_np(up.apply_np(h))
-        return self.hs_out.apply_np(h)
-
-    def _split_params_np(self, raw, coded_channels):
-        k = self.config.mixtures_k
-        ck = coded_channels * k
-        b, _, h, w = raw.shape
-        logits = raw[:, :ck].reshape(b, coded_channels, k, h, w)
-        logits = logits - logits.max(axis=2, keepdims=True)
-        e = np.exp(logits)
-        weights = e / e.sum(axis=2, keepdims=True)
-        means = raw[:, ck:2 * ck].reshape(b, coded_channels, k, h, w)
-        scales = softplus_np(raw[:, 2 * ck:3 * ck]).reshape(b, coded_channels, k, h, w) \
-            + SCALE_FLOOR
-        return GmmParams(weights.transpose(0, 2, 1, 3, 4),
-                         means.transpose(0, 2, 1, 3, 4),
-                         scales.transpose(0, 2, 1, 3, 4))
-
-    def entropy_params_y_np(self, hyper_features, y_ctx_input) -> GmmParams:
-        n = self.config.filters_n
-        if self.ctx_y is not None:
-            ctx = self.ctx_y.apply_np(y_ctx_input)
-        else:
-            ctx = np.zeros((hyper_features.shape[0], n) + hyper_features.shape[2:])
-        h = np.concatenate([hyper_features, ctx], axis=1)
-        h = leaky_relu_np(self.head_y1.apply_np(h))
-        return self._split_params_np(self.head_y2.apply_np(h), n)
-
-    def entropy_params_x_np(self, pixel_features, x_ctx_input) -> GmmParams:
-        n = self.config.filters_n
-        if self.ctx_x is not None:
-            ctx = self.ctx_x.apply_np(x_ctx_input)
-        else:
-            ctx = np.zeros((pixel_features.shape[0], n) + pixel_features.shape[2:])
-        h = np.concatenate([pixel_features, ctx], axis=1)
-        h = leaky_relu_np(self.head_x1.apply_np(h))
-        return self._split_params_np(self.head_x2.apply_np(h), 3)
+        return factorized_cdf(v, *([T.reshape(self.params[f"prior.{kind}{i}"], (1, -1, 1, 1))
+                                    for i in range(FactorizedPrior.N_LAYERS)] for kind in "hba"))
 
 
 def init_weights(config: ModelConfig, seed: int) -> Model:
@@ -604,36 +439,50 @@ def serialize_weights(model: Model) -> bytes:
 
 
 def deserialize_weights(blob: bytes) -> Model:
+    """Inverse of serialize_weights. Raises ContractViolation for a bad
+    magic, for a blob shorter than the sizes it declares, for an entry
+    reaching past the data, and for keys or shapes that do not fit the
+    config (a non-UTF-8 key included); ConfigError for config text that is
+    not UTF-8 or does not parse."""
     if blob[:4] != WEIGHTS_MAGIC:
         raise ContractViolation(f"bad weights magic {blob[:4]!r}")
     off = 4
-    (cfg_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    config = parse_config_text(blob[off:off + cfg_len].decode())
-    off += cfg_len
-    (n_params,) = struct.unpack_from("<I", blob, off)
-    off += 4
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(blob):
+            raise ContractViolation("weights file truncated")
+        off += size
+        return blob[off - size:off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (cfg_len,) = unpack("<I")
+    try:
+        config = parse_config_text(take(cfg_len).decode())
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"weights config text is not UTF-8: {e}") from None
+    (n_params,) = unpack("<I")
     entries = []
     for _ in range(n_params):
-        (key_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        key = blob[off:off + key_len].decode()
-        off += key_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        (data_off,) = struct.unpack_from("<Q", blob, off)
-        off += 8
+        (key_len,) = unpack("<H")
+        # a non-UTF-8 key keeps its bad bytes as \xNN escapes, so it matches
+        # no parameter name and load_state rejects it
+        key = take(key_len).decode(errors="backslashreplace")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        (data_off,) = unpack("<Q")
         entries.append((key, shape, data_off))
-    (data_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    data = blob[off:off + data_len]
-    if len(data) != data_len:
-        raise ContractViolation("weights file truncated")
+    (data_len,) = unpack("<Q")
+    data = take(data_len)
     state = {}
     for key, shape, data_off in entries:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
+        if data_off + 8 * count > data_len:
+            raise ContractViolation(
+                f"weights entry {key!r} ({count} values at byte {data_off}) reaches "
+                f"past the {data_len} data bytes")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=data_off)
         state[key] = arr.reshape(shape).astype(np.float64)
     return Model(config).load_state(state)

@@ -7,11 +7,21 @@ per forward pass; ``backward()`` on a scalar loss walks it once in reverse
 topological order and then releases it, so a second backward without a new
 forward raises.
 
+Inside ``no_grad()`` ops record no graph: outputs have ``requires_grad``
+False and no parents, so inference runs the same ops as training without
+keeping the backward closures and their inputs alive.
+
 Tensors are treated as immutable once created. A graph and its tensors are
 confined to a single thread; independent graphs may run concurrently.
+``no_grad`` is a context variable, so entering it in one thread (or asyncio
+task) leaves recording on in every other. ``set_debug_checks`` is not: it
+sets one process-global flag that every thread reads.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,14 +36,37 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # domain. Costs a pass over the data, so off by default.
 _debug_checks = False
 
+# False inside no_grad(); read by _make
+_grad_enabled = contextvars.ContextVar("nlic_grad_enabled", default=True)
+
 
 def set_debug_checks(enabled: bool) -> None:
+    """Switch the finite-output and log-domain checks of every op on or off.
+
+    The flag is process-global: it applies at once to ops in all threads,
+    unlike no_grad, which is scoped to the current context.
+    """
     global _debug_checks
     _debug_checks = bool(enabled)
 
 
 def debug_checks_enabled() -> bool:
     return _debug_checks
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph for ops run in this context (thread or asyncio task).
+
+    Outputs carry the same data as with recording on, but requires_grad is
+    False and they keep no parents or backward closure. Nests, and restores
+    the previous state on exit.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def _check_finite(data: np.ndarray, op_name: str) -> None:
@@ -155,8 +188,8 @@ def _as_tensor(value) -> Tensor:
 def _make(data: np.ndarray, parents, backward_fn, op_name: str) -> Tensor:
     _check_finite(data, op_name)
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
@@ -243,11 +276,15 @@ def leaky_relu(t: Tensor) -> Tensor:
     return _make(data, (t,), backward, "leaky_relu")
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in the stable two-sided form."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    # stable two-sided form
-    data = np.where(t.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(t.data))),
-                    np.exp(-np.abs(t.data)) / (1.0 + np.exp(-np.abs(t.data))))
+    data = _logistic(t.data)
 
     def backward(g):
         _accum(t, g * data * (1.0 - data))
@@ -292,9 +329,7 @@ def softplus(t: Tensor) -> Tensor:
     data = np.logaddexp(0.0, t.data)
 
     def backward(g):
-        s = np.where(t.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(t.data))),
-                     np.exp(-np.abs(t.data)) / (1.0 + np.exp(-np.abs(t.data))))
-        _accum(t, g * s)
+        _accum(t, g * _logistic(t.data))
 
     return _make(data, (t,), backward, "softplus")
 

@@ -65,6 +65,11 @@ class TestGmmPmf:
         with pytest.raises(ContractViolation):
             E.gmm_pmf(300, [1.0], [0.0], [1.0], E.PIXEL_GRID)
 
+    def test_one_location_only(self, rng):
+        w, mu, sd = random_gmm_params(rng, (4,), 3, E.LATENT_GRID)
+        with pytest.raises(ContractViolation, match="one location"):
+            E.gmm_pmf(0, w, mu, sd, E.LATENT_GRID)
+
 
 def _gmm_pmf_table_full(weights, means, scales, grid):
     """Reference gmm_pmf_table: ndtr on every edge of every component."""
@@ -269,7 +274,32 @@ class TestMixtureContract:
                             E.LATENT_GRID)
 
 
+def _prior_cdf_ref(prior, v):
+    """Reference FactorizedPrior.cdf_values: the plain-numpy body it had
+    before the prior was built from Tensor ops."""
+    u = np.asarray(v, dtype=np.float64)
+    for h, b, a in zip(prior.h_layers, prior.b_layers, prior.a_layers):
+        t = np.logaddexp(0.0, h) * u + b
+        u = t + np.tanh(a) * np.tanh(t)
+    out = np.empty_like(u)
+    np.exp(-np.abs(u), out=out)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + out[pos])
+    out[~pos] = out[~pos] / (1.0 + out[~pos])
+    return out
+
+
 class TestFactorizedPrior:
+    def test_cdf_matches_reference(self, rng):
+        for trial in range(20):
+            c = int(rng.integers(1, 9))
+            prior = E.FactorizedPrior(
+                *([rng.normal(scale=2, size=c) for _ in range(3)] for _ in "hba"))
+            v = rng.normal(scale=10.0 ** rng.uniform(-1, 3), size=(int(rng.integers(1, 300)), c))
+            np.testing.assert_array_equal(prior.cdf_values(v), _prior_cdf_ref(prior, v))
+            edges = np.broadcast_to(E.LATENT_GRID.edges()[:, None], (256, c))
+            np.testing.assert_array_equal(prior.cdf_values(edges), _prior_cdf_ref(prior, edges))
+
     def test_fresh_prior_is_broad(self):
         prior = E.FactorizedPrior.init(4)
         p0 = E.factorized_pmf(0, 0, prior, E.LATENT_GRID)
@@ -434,6 +464,13 @@ class TestBuildCdf:
                              ids=["nan", "above-one", "negative"])
     def test_invalid_total_rejected(self, pmf):
         with pytest.raises(ContractViolation, match="cumulative"):
+            E.build_cdf(np.array(pmf))
+
+    @pytest.mark.parametrize("pmf", [[0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0]],
+                             ids=["no-empty-bin", "empty-bin", "tiny-first"])
+    def test_negative_entry_rejected(self, pmf):
+        # the total stays in [0, 1], so only the counts show the negative entry
+        with pytest.raises(ContractViolation, match="negative"):
             E.build_cdf(np.array(pmf))
 
     def test_total_rounding_above_one_accepted(self):

@@ -1,5 +1,8 @@
 """Network tests: shape chains, determinism, causality through the heads,
-initialization contracts, ablation key sets, weight serialization."""
+the no_grad forward path, initialization contracts, ablation key sets,
+config text and weight serialization."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from nlic.entropy import SCALE_FLOOR
 from nlic.errors import ConfigError, ContractViolation
 from nlic.network import (
     AttentionBlock,
+    GmmParams,
     Model,
     ModelConfig,
     _ParamStore,
@@ -22,6 +26,21 @@ from nlic.network import (
 )
 
 from conftest import finite_difference, rel_err
+
+
+def assert_no_grad_matches_recording(run):
+    """run() gives a Tensor or GmmParams. With recording on, every output
+    must carry a graph; under no_grad the same data with none."""
+    def outputs(result):
+        return list(vars(result).values()) if isinstance(result, GmmParams) else [result]
+
+    recorded = outputs(run())
+    with T.no_grad():
+        plain = outputs(run())
+    for r, p in zip(recorded, plain, strict=True):
+        assert r.requires_grad and r._parents
+        assert not p.requires_grad and p._parents == () and p._backward is None
+        assert np.array_equal(r.data, p.data)
 
 
 @pytest.fixture
@@ -58,6 +77,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("filters_n=8\nbogus=1\n")
 
+    @pytest.mark.parametrize("raw", ["abc", "", "8.0", "0x10"])
+    def test_non_integer_rejected(self, raw):
+        with pytest.raises(ConfigError, match="filters_n"):
+            parse_config_text(f"filters_n={raw}\n")
+
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+        ("false", False), ("False", False), ("0", False), ("NO", False)])
+    def test_bool_literals(self, raw, value):
+        assert parse_config_text(f"use_attention={raw}\n").use_attention is value
+
+    @pytest.mark.parametrize("raw", ["maybe", "", "2", "on", "t"])
+    def test_bool_outside_literals_rejected(self, raw):
+        with pytest.raises(ConfigError, match="use_attention"):
+            parse_config_text(f"use_attention={raw}\n")
+
 
 class TestShapes:
     def test_default_shape_chain(self):
@@ -87,18 +122,14 @@ class TestShapes:
         x = T.Tensor(np.zeros((1, 3, 16, 16)))
         assert np.all(m.analysis(x).data == 0.0)
 
-    def test_np_path_matches_tensor_path(self, model, rng):
-        x = rng.normal(size=(1, 3, 16, 16))
-        np.testing.assert_allclose(model.analysis_np(x),
-                                   model.analysis(T.Tensor(x)).data, atol=1e-10)
-        y = rng.normal(size=(1, 8, 4, 4))
-        np.testing.assert_allclose(model.synthesis_np(y),
-                                   model.synthesis(T.Tensor(y)).data, atol=1e-10)
-        np.testing.assert_allclose(model.hyper_analysis_np(y),
-                                   model.hyper_analysis(T.Tensor(y)).data, atol=1e-10)
-        z = rng.normal(size=(1, 8, 1, 1))
-        np.testing.assert_allclose(model.hyper_synthesis_np(z),
-                                   model.hyper_synthesis(T.Tensor(z)).data, atol=1e-10)
+    def test_no_grad_matches_recording(self, model, rng):
+        x = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
+        y = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
+        z = T.Tensor(rng.normal(size=(1, 8, 1, 1)))
+        assert_no_grad_matches_recording(lambda: model.analysis(x))
+        assert_no_grad_matches_recording(lambda: model.synthesis(y))
+        assert_no_grad_matches_recording(lambda: model.hyper_analysis(y))
+        assert_no_grad_matches_recording(lambda: model.hyper_synthesis(z))
 
 
 class TestEntropyParams:
@@ -139,34 +170,39 @@ class TestEntropyParams:
         # perturb each position of a 6x6 input; everything raster-earlier in
         # the emitted params must stay bit-identical
         if path == "y":
-            feat = rng.normal(size=(1, 16, 6, 6))
+            feat = T.Tensor(rng.normal(size=(1, 16, 6, 6)))
             ctx0 = rng.normal(size=(1, 8, 6, 6))
-            run = lambda ctx: model.entropy_params_y_np(feat, ctx)
+            run = lambda ctx: model.entropy_params_y(feat, T.Tensor(ctx))
             channels = ctx0.shape[1]
         else:
-            feat = rng.normal(size=(1, 8, 6, 6))
+            feat = T.Tensor(rng.normal(size=(1, 8, 6, 6)))
             ctx0 = rng.normal(size=(1, 3, 6, 6))
-            run = lambda ctx: model.entropy_params_x_np(feat, ctx)
+            run = lambda ctx: model.entropy_params_x(feat, T.Tensor(ctx))
             channels = 3
-        base = run(ctx0)
-        for p in range(36):
-            i, j = divmod(p, 6)
-            ctx = ctx0.copy()
-            ctx[0, rng.integers(channels), i, j] += 1.0 + rng.random()
-            out = run(ctx)
-            for field in ("weights", "means", "scales"):
-                a = getattr(base, field).reshape(1, -1, 36)
-                b = getattr(out, field).reshape(1, -1, 36)
-                assert np.array_equal(a[:, :, :p], b[:, :, :p]), f"leak at {p}"
+        with T.no_grad():
+            base = run(ctx0)
+            for p in range(36):
+                i, j = divmod(p, 6)
+                ctx = ctx0.copy()
+                ctx[0, rng.integers(channels), i, j] += 1.0 + rng.random()
+                out = run(ctx)
+                for field in ("weights", "means", "scales"):
+                    a = getattr(base, field).data.reshape(1, -1, 36)
+                    b = getattr(out, field).data.reshape(1, -1, 36)
+                    assert np.array_equal(a[:, :, :p], b[:, :, :p]), f"leak at {p}"
 
-    def test_head_np_matches_tensor(self, model, rng):
-        hf = rng.normal(size=(1, 16, 4, 4))
-        y_ctx = rng.normal(size=(1, 8, 4, 4))
-        a = model.entropy_params_y_np(hf, y_ctx)
-        b = model.entropy_params_y(T.Tensor(hf), T.Tensor(y_ctx))
-        for field in ("weights", "means", "scales"):
-            np.testing.assert_allclose(getattr(a, field), getattr(b, field).data,
-                                       atol=1e-12)
+    def test_no_grad_matches_recording(self, model, rng):
+        hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
+        y_ctx = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
+        pf = T.Tensor(rng.normal(size=(1, 8, 16, 16)))
+        x_ctx = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
+        z = T.Tensor(rng.normal(scale=20.0, size=(1, 8, 2, 2)))
+        for name in ("b", "a"):  # init leaves these zero
+            for i in range(3):
+                model.params[f"prior.{name}{i}"].data = rng.normal(size=8)
+        assert_no_grad_matches_recording(lambda: model.entropy_params_y(hf, y_ctx))
+        assert_no_grad_matches_recording(lambda: model.entropy_params_x(pf, x_ctx))
+        assert_no_grad_matches_recording(lambda: model.prior_cdf(z))
 
 
 class TestAttention:
@@ -198,15 +234,16 @@ class TestAttention:
         # zero mask final only: out = t + 0.5 * trunk(t)
         attn.mask_out.w.data = np.zeros_like(attn.mask_out.w.data)
         attn.mask_out.b.data = np.zeros_like(attn.mask_out.b.data)
-        trunk = x
-        for blk in attn.trunk:
-            trunk = blk.apply_np(trunk)
-        trunk = attn.trunk_out.apply_np(trunk)
-        np.testing.assert_allclose(attn.apply_np(x), x + 0.5 * trunk, atol=1e-12)
-        # zero trunk final too: exact identity
-        attn.trunk_out.w.data = np.zeros_like(attn.trunk_out.w.data)
-        attn.trunk_out.b.data = np.zeros_like(attn.trunk_out.b.data)
-        np.testing.assert_array_equal(attn.apply_np(x), x)
+        with T.no_grad():
+            trunk = T.Tensor(x)
+            for blk in attn.trunk:
+                trunk = blk(trunk)
+            trunk = attn.trunk_out(trunk).data
+            np.testing.assert_allclose(attn(T.Tensor(x)).data, x + 0.5 * trunk, atol=1e-12)
+            # zero trunk final too: exact identity
+            attn.trunk_out.w.data = np.zeros_like(attn.trunk_out.w.data)
+            attn.trunk_out.b.data = np.zeros_like(attn.trunk_out.b.data)
+            np.testing.assert_array_equal(attn(T.Tensor(x)).data, x)
 
 
 class TestInit:
@@ -279,6 +316,53 @@ class TestSerialization:
         state.pop("ga.out.w")
         with pytest.raises(ContractViolation, match="missing"):
             Model(model.config).load_state(state)
+
+
+class TestWeightsParsing:
+    """Malformed NLW1 blobs raise ContractViolation (ConfigError for the
+    config text), never struct.error, ValueError or UnicodeDecodeError."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return serialize_weights(init_weights(ModelConfig(filters_n=4, mixtures_k=1), 0))
+
+    @staticmethod
+    def data_start(blob):
+        model = deserialize_weights(blob)
+        return len(blob) - 8 * sum(t.data.size for t in model.params.values())
+
+    def test_every_prefix_before_data_rejected(self, blob):
+        for cut in range(self.data_start(blob) + 1):
+            with pytest.raises(ContractViolation):
+                deserialize_weights(blob[:cut])
+
+    def test_prefixes_inside_data_rejected(self, blob):
+        for cut in range(self.data_start(blob) + 1, len(blob), 997):
+            with pytest.raises(ContractViolation, match="truncated"):
+                deserialize_weights(blob[:cut])
+
+    @pytest.mark.parametrize("offset", ["last-value", "max"])
+    def test_offset_past_data_rejected(self, blob, offset):
+        # the last manifest entry (prior.a2, filters_n = 4 values) has its
+        # data offset just before the data_len field
+        start = self.data_start(blob)
+        (data_len,) = struct.unpack_from("<Q", blob, start - 8)
+        value = data_len - 8 if offset == "last-value" else 2 ** 64 - 1
+        bad = blob[:start - 16] + struct.pack("<Q", value) + blob[start - 8:]
+        with pytest.raises(ContractViolation, match="past"):
+            deserialize_weights(bad)
+
+    def test_non_utf8_key_rejected(self, blob):
+        (cfg_len,) = struct.unpack_from("<I", blob, 4)
+        first_key = 8 + cfg_len + 4 + 2
+        bad = blob[:first_key] + b"\xff" + blob[first_key + 1:]
+        with pytest.raises(ContractViolation, match="key mismatch"):
+            deserialize_weights(bad)
+
+    def test_non_utf8_config_text_rejected(self, blob):
+        bad = blob[:8] + b"\xff" + blob[9:]
+        with pytest.raises(ConfigError, match="UTF-8"):
+            deserialize_weights(bad)
 
 
 class TestGradientFlow:

@@ -1,4 +1,7 @@
-"""Autodiff engine tests: oracle comparisons and finite-difference checks."""
+"""Autodiff engine tests: oracle comparisons, finite-difference checks and
+the no_grad context."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -369,6 +372,57 @@ class TestBackward:
                 T.exp(T.Tensor(np.array([1e9])))  # overflows to inf
         finally:
             T.set_debug_checks(False)
+
+
+class TestNoGrad:
+    def test_records_nothing_and_restores(self, rng):
+        w = T.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = T.Tensor(np.zeros(2), requires_grad=True)
+        x = T.Tensor(rng.normal(size=(1, 1, 5, 5)))
+        with T.no_grad():
+            with T.no_grad():
+                inner = T.conv2d(x, w, b, 1, 1)
+            out = T.sigmoid(inner)
+        assert not inner.requires_grad and inner._parents == () and inner._backward is None
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        recorded = T.sigmoid(T.conv2d(x, w, b, 1, 1))
+        assert recorded.requires_grad and recorded._parents
+        np.testing.assert_array_equal(out.data, recorded.data)
+        T.reduce_sum(recorded).backward()
+        assert w.grad is not None
+
+    def test_restored_after_exception(self):
+        with pytest.raises(RuntimeError), T.no_grad():
+            raise RuntimeError
+        assert T.mul(T.Tensor(1.0, requires_grad=True), 2.0).requires_grad
+
+    @pytest.mark.parametrize("holder", ["other-thread", "this-thread"])
+    def test_scoped_to_its_thread(self, holder):
+        # one thread sits inside no_grad while the other runs an op
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def hold():
+            with T.no_grad():
+                entered.set()
+                release.wait(10)
+
+        def probe():
+            seen.append(T.mul(T.Tensor(np.ones(3), requires_grad=True), 2.0).requires_grad)
+
+        if holder == "other-thread":
+            worker = threading.Thread(target=hold)
+            worker.start()
+            assert entered.wait(10)
+            probe()
+            release.set()
+        else:
+            worker = threading.Thread(target=probe)
+            with T.no_grad():
+                worker.start()
+                worker.join(10)
+        worker.join(10)
+        assert seen == [True]
 
 
 class TestKinkGuard:
