@@ -169,8 +169,12 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         cdf = ndtr((edges - mu[..., None]) / sd[..., None])
     cdf[..., 0] = 0.0
     cdf[..., -1] = 1.0
-    pmf_k = np.diff(cdf, axis=-1)
-    return np.einsum("...k,...ks->...s", w, pmf_k)
+    # bin differences of all rows in one 1-D subtraction; the difference
+    # across each row boundary lands in the dropped last column
+    flat = cdf.reshape(-1)
+    pmf_k = np.empty_like(cdf)
+    np.subtract(flat[1:], flat[:-1], out=pmf_k.reshape(-1)[:-1])
+    return np.einsum("...k,...ks->...s", w, pmf_k[..., :-1])
 
 
 def _check_symbol(symbol: int, grid: SymbolGrid) -> None:
@@ -310,27 +314,28 @@ def rate_bits(pmfs) -> float:
 def _scale_lattice_round(scales: np.ndarray, grid: SymbolGrid) -> np.ndarray:
     lo = SCALE_FLOOR
     hi = grid.span
-    s = np.clip(scales, lo, hi)
+    s = np.minimum(np.maximum(scales, lo), hi)
     ratio = np.log(s / lo) / np.log(hi / lo)  # in [0, 1]
-    idx = np.round(ratio * (SCALE_LEVELS - 1))
+    idx = np.rint(ratio * (SCALE_LEVELS - 1))
     return lo * (hi / lo) ** (idx / (SCALE_LEVELS - 1))
 
 
 def _weights_largest_remainder(weights: np.ndarray, axis: int) -> np.ndarray:
-    """Round mixture weights to counts summing exactly to WEIGHT_LATTICE."""
-    w = np.moveaxis(weights, axis, -1)
-    shape = w.shape
-    flat = w.reshape(-1, shape[-1])
-    scaled = flat * WEIGHT_LATTICE
+    """Round mixture weights to counts summing exactly to WEIGHT_LATTICE.
+
+    The deficit D = WEIGHT_LATTICE - sum(floor(w * WEIGHT_LATTICE)) goes, one
+    unit each, to the D components with the largest remainders, ties to the
+    lowest mixture index.
+    """
+    w = np.swapaxes(weights, axis, -1)
+    scaled = w * WEIGHT_LATTICE
     base = np.floor(scaled)
-    deficit = (WEIGHT_LATTICE - base.sum(axis=1)).astype(np.int64)
     rem = scaled - base
-    # ties broken toward the lowest mixture index: sort by (-remainder, k)
-    order = np.lexsort((np.broadcast_to(np.arange(shape[-1]), rem.shape), -rem), axis=1)
-    ranks = np.argsort(order, axis=1)
-    bump = ranks < deficit[:, None]
-    counts = base + bump
-    return np.moveaxis((counts / WEIGHT_LATTICE).reshape(shape), -1, axis)
+    # a stable sort keeps tied remainders in index order
+    ranks = np.argsort(np.argsort(-rem, axis=-1, kind="stable"), axis=-1)
+    base += ranks < WEIGHT_LATTICE - base.sum(axis=-1, keepdims=True)
+    base /= WEIGHT_LATTICE
+    return np.swapaxes(base, -1, axis)
 
 
 def determinize(weights, means, scales, grid: SymbolGrid, k_axis: int = -1):
@@ -340,11 +345,13 @@ def determinize(weights, means, scales, grid: SymbolGrid, k_axis: int = -1):
     weights are renormalized by largest remainder on a 1/4096 grid (they
     still sum exactly to one), means snap to 1/1024 of a symbol step, scales
     to a 256-level geometric ladder between the scale floor and the grid
-    span. Idempotent.
+    span. Idempotent. The weight units left after flooring go to the
+    components with the largest remainders, ties to the lowest mixture
+    index along k_axis.
     """
     w = _weights_largest_remainder(np.asarray(weights, dtype=np.float64), k_axis)
     mean_step = grid.step_norm / MEAN_LATTICE
-    m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
+    m = np.rint(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
     s = _scale_lattice_round(np.asarray(scales, dtype=np.float64), grid)
     return w, m, s
 
@@ -373,6 +380,16 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     T, and the remaining r = E - excess(T) units come from the r
     lowest-index bins with count >= T, which is the order the one-at-a-time
     steals take them in.
+
+    Most repaired rows cut only the largest bin: when top - E >= second,
+    for top the largest count and second the largest of the rest, the
+    water level is top - E (or, at equality, second itself, which cuts the
+    same units), so that bin gives all E units and no sort is needed.
+
+    A negative entry makes its bin count as empty. On the general path the
+    sort shows the negative count; on the one-bin path, raising a count
+    c < 0 to 1 adds 1 - c instead of the 1 an empty bin takes, so the
+    repaired total exceeds 2^16.
     """
     p = np.asarray(pmf, dtype=np.float64).ravel()
     n = p.size
@@ -391,12 +408,27 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     cum = cum.astype(np.int64)
     cum[-1] = CDF_TOTAL
     # a bin is non-empty where the cumulative rises; where a negative pmf
-    # entry makes it fall, the bin counts as empty and reaches the sort
-    # below, which shows the negative count
+    # entry makes it fall, the bin counts as empty and is repaired below,
+    # which shows the negative count
     n_empty = n - int(np.count_nonzero(cum[1:] > cum[:-1]))
     if n_empty == 0:
         return cum.astype(np.uint32)
     counts = cum[1:] - cum[:-1]  # sums to exactly CDF_TOTAL
+    # The largest bin alone gives all E units when top - E >= second. Its
+    # slot reads 0 while the rest is searched: that raises the rest's
+    # maximum only where every other count is negative, and then top - E
+    # still exceeds it and the total check below raises.
+    j = int(counts.argmax())
+    top = int(counts[j])
+    counts[j] = 0
+    if top - n_empty >= counts.max():
+        counts[j] = top - n_empty
+        np.maximum(counts, 1, out=counts)
+        np.add.accumulate(counts, out=cum[1:])
+        if cum[-1] != CDF_TOTAL:
+            raise ContractViolation("pmf has a negative entry: its cumulative decreases")
+        return cum.astype(np.uint32)
+    counts[j] = top
     # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
     # nondecreasing in k. The first m bins, those with excess(s[m]) > E,
     # are cut, to T = ceil((sum(s[:m]) - E) / m).

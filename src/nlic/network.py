@@ -75,15 +75,18 @@ _BOOL_LITERALS = {"true": True, "1": True, "yes": True,
 
 def parse_config_text(text: str) -> ModelConfig:
     """Inverse of canonical_config_text. Raises ConfigError for an unknown
-    key, a non-integer value, or a bool other than true/false/1/0/yes/no
-    (any case)."""
+    or duplicated key, a non-integer value, or a bool other than
+    true/false/1/0/yes/no (any case)."""
     values = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"model config key {key!r} is given twice")
+        values[key] = raw.strip()
     kwargs = {}
     for f in fields(ModelConfig):
         raw = values.pop(f.name, None)
@@ -440,8 +443,8 @@ def serialize_weights(model: Model) -> bytes:
 
 def deserialize_weights(blob: bytes) -> Model:
     """Inverse of serialize_weights. Raises ContractViolation for a bad
-    magic, for a blob shorter than the sizes it declares, for an entry
-    reaching past the data, and for keys or shapes that do not fit the
+    magic, for a blob shorter or longer than the sizes it declares, for an
+    entry reaching past the data, and for keys or shapes that do not fit the
     config (a non-UTF-8 key included); ConfigError for config text that is
     not UTF-8 or does not parse."""
     if blob[:4] != WEIGHTS_MAGIC:
@@ -476,6 +479,8 @@ def deserialize_weights(blob: bytes) -> Model:
         entries.append((key, shape, data_off))
     (data_len,) = unpack("<Q")
     data = take(data_len)
+    if off != len(blob):
+        raise ContractViolation(f"{len(blob) - off} bytes follow the weights data")
     state = {}
     for key, shape, data_off in entries:
         count = math.prod(shape)

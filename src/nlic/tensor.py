@@ -149,10 +149,12 @@ class Tensor:
             fn = node._backward
             if fn is not None:
                 fn(node.grad)
-            # release op records so a stale second backward is refused
-            node._backward = None
-            node._parents = ()
-            node._released = True
+            # release op records so a stale second backward is refused; a
+            # leaf has none and stays usable in later graphs
+            if node._parents:
+                node._backward = None
+                node._parents = ()
+                node._released = True
 
 
 def _topo_order(root: Tensor):

@@ -432,6 +432,101 @@ class TestDeterminize:
         assert np.mean(excesses) < 0.02
 
 
+def _determinize_ref(weights, means, scales, grid, k_axis=-1):
+    """Reference determinize: the largest-remainder weights ranked by
+    lexsort on (-remainder, k) and an argsort of that order, clip and round
+    for the means and scales."""
+    w = np.moveaxis(np.asarray(weights, dtype=np.float64), k_axis, -1)
+    shape = w.shape
+    scaled = w.reshape(-1, shape[-1]) * E.WEIGHT_LATTICE
+    base = np.floor(scaled)
+    deficit = (E.WEIGHT_LATTICE - base.sum(axis=1)).astype(np.int64)
+    rem = scaled - base
+    order = np.lexsort((np.broadcast_to(np.arange(shape[-1]), rem.shape), -rem), axis=1)
+    ranks = np.argsort(order, axis=1)
+    counts = base + (ranks < deficit[:, None])
+    w = np.moveaxis((counts / E.WEIGHT_LATTICE).reshape(shape), -1, k_axis)
+    mean_step = grid.step_norm / E.MEAN_LATTICE
+    m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
+    lo, hi = E.SCALE_FLOOR, grid.span
+    ratio = np.log(np.clip(np.asarray(scales, dtype=np.float64), lo, hi) / lo) / np.log(hi / lo)
+    idx = np.round(ratio * (E.SCALE_LEVELS - 1))
+    return w, m, lo * (hi / lo) ** (idx / (E.SCALE_LEVELS - 1))
+
+
+def tied_weights(rng, shape, k):
+    """[*shape, k] weights whose remainders on the 1/4096 lattice tie often:
+    floored dirichlet counts plus a remainder from {0, 1/4, 1/2, 3/4}, over
+    4096. The floors leave a deficit of 0..k-1 units to hand out."""
+    counts = np.floor(rng.dirichlet(np.ones(k), size=shape) * E.WEIGHT_LATTICE)
+    return (counts + rng.integers(0, 4, size=counts.shape) / 4) / E.WEIGHT_LATTICE
+
+
+@st.composite
+def determinize_batches(draw):
+    """(w, mu, sd, grid, k_axis) with [L, C, K] parameters moved so that K
+    sits on k_axis. Weights are dirichlet rows, unnormalized draws, or rows
+    with tied remainders; means and scales span and exceed the grid."""
+    grid = draw(st.sampled_from([E.PIXEL_GRID, E.LATENT_GRID]))
+    k = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)), k)
+    k_axis = draw(st.sampled_from([0, 1, 2, -1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "free", "tied"]))
+    if kind == "dirichlet":
+        w = rng.dirichlet(np.ones(k), size=shape[:-1])
+    elif kind == "free":
+        w = rng.uniform(0.0, 1.0, size=shape)
+    else:
+        w = tied_weights(rng, shape[:-1], k)
+    mu = rng.uniform(-2 * grid.span, 2 * grid.span, size=shape)
+    sd = np.exp(rng.uniform(np.log(E.SCALE_FLOOR / 10), np.log(10 * grid.span), size=shape))
+    return (*(np.moveaxis(a, -1, k_axis) for a in (w, mu, sd)), grid, k_axis)
+
+
+class TestDeterminizeReference:
+    """determinize against _determinize_ref, bit for bit."""
+
+    @staticmethod
+    def assert_same(w, mu, sd, grid, k_axis):
+        got = E.determinize(w, mu, sd, grid, k_axis=k_axis)
+        for a, b in zip(got, _determinize_ref(w, mu, sd, grid, k_axis), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    @GRIDS
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k_axis", [0, 1, -1])
+    @pytest.mark.parametrize("weights", ["dirichlet", "tied"])
+    def test_components_and_axes(self, grid, k, k_axis, weights, rng):
+        for _ in range(4):
+            w, mu, sd = random_gmm_params(rng, (5, 4), k, grid)
+            if weights == "tied":
+                w = tied_weights(rng, (5, 4), k)
+            w, mu, sd = (np.moveaxis(a, -1, k_axis) for a in (w, mu, sd))
+            self.assert_same(w, mu, sd, grid, k_axis)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_all_remainders_tied(self, k):
+        # every remainder is 1/2, so a deficit of d units goes to the d
+        # lowest indices; one row for each d in 0..k
+        rows = []
+        for d in range(k + 1):
+            counts = np.full(k, (E.WEIGHT_LATTICE - d) // k)
+            counts[0] += E.WEIGHT_LATTICE - d - counts.sum()
+            rows.append((counts + 0.5) / E.WEIGHT_LATTICE)
+        w = np.array(rows)
+        mu, sd = np.zeros_like(w), np.ones_like(w)
+        self.assert_same(w, mu, sd, E.LATENT_GRID, -1)
+        dw, _, _ = E.determinize(w, mu, sd, E.LATENT_GRID)
+        bumps = dw * E.WEIGHT_LATTICE - np.floor(w * E.WEIGHT_LATTICE)
+        np.testing.assert_array_equal(bumps, np.arange(k) < np.arange(k + 1)[:, None])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(determinize_batches())
+    def test_random_batches(self, batch):
+        self.assert_same(*batch)
+
+
 class TestBuildCdf:
     def test_uniform_splits_exactly(self):
         cdf = E.build_cdf(np.full(256, 1.0 / 256.0))
@@ -594,6 +689,37 @@ class TestBuildCdfOracle:
         pmf = np.array(counts) / E.CDF_TOTAL
         np.testing.assert_array_equal(np.diff(E.build_cdf(pmf).astype(np.int64)), repaired)
         self.assert_same(pmf)
+
+    @staticmethod
+    def one_donor(counts):
+        """Whether the largest count alone gives all E units: top - E >= second."""
+        c = sorted(counts, reverse=True)
+        return c[0] - sum(x <= 0 for x in counts) >= c[1]
+
+    @pytest.mark.parametrize("counts, one_donor", [
+        ([0, 30003, 0, 30000, 5533, 0], True),
+        ([0, 30002, 0, 30000, 5534, 0], False),
+        ([30000, 0, 30000, 5536], False),
+        ([0, 40000, 0, 20000, 0, 5536], True),
+        ([0, 65536, 0, 0], True),
+        ([0] * 100 + [65536] + [0] * 155, True),
+        ([0] * 100 + [65000] + [0] * 154 + [536], True),
+        ([0] * 100 + [32895] + [0] * 154 + [32641], True),
+        ([0] * 100 + [32800] + [0] * 154 + [32736], False),
+    ], ids=["top-E=second", "top-E=second-1", "tied-top", "two-donors-one-cut",
+            "single-donor", "E=n-1", "E=n-2-small-second", "E=n-2-on-edge", "E=n-2-level"])
+    def test_largest_bin_alone(self, counts, one_donor):
+        assert sum(counts) == E.CDF_TOTAL
+        assert self.one_donor(counts) is one_donor
+        self.assert_same(np.array(counts) / E.CDF_TOTAL)
+
+    @pytest.mark.parametrize("counts", [[0, 39321, 32768, -6553], [-3, 65539],
+                                        [0, 65538, -1, -1]],
+                             ids=["one-negative", "all-others-negative", "two-negative"])
+    def test_negative_entry_in_one_donor_rows(self, counts):
+        assert self.one_donor(counts)
+        with pytest.raises(ContractViolation, match="negative"):
+            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
     def test_support_limit(self):
         half = E.CDF_TOTAL // 2

@@ -77,6 +77,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("filters_n=8\nbogus=1\n")
 
+    @pytest.mark.parametrize("text", ["filters_n=8\nfilters_n=16\n",
+                                      "filters_n=8\n filters_n = 8\n"],
+                             ids=["different", "same"])
+    def test_duplicated_key_rejected(self, text):
+        with pytest.raises(ConfigError, match="filters_n"):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("raw", ["abc", "", "8.0", "0x10"])
     def test_non_integer_rejected(self, raw):
         with pytest.raises(ConfigError, match="filters_n"):
@@ -352,6 +359,11 @@ class TestWeightsParsing:
         with pytest.raises(ContractViolation, match="past"):
             deserialize_weights(bad)
 
+    @pytest.mark.parametrize("tail", [b"\x00", b"junk"])
+    def test_trailing_bytes_rejected(self, blob, tail):
+        with pytest.raises(ContractViolation, match="follow"):
+            deserialize_weights(blob + tail)
+
     def test_non_utf8_key_rejected(self, blob):
         (cfg_len,) = struct.unpack_from("<I", blob, 4)
         first_key = 8 + cfg_len + 4 + 2
@@ -382,6 +394,23 @@ class TestGradientFlow:
         fd = finite_difference(lambda a: fn(T.Tensor(a)).item(), [y_data.copy()],
                                kink_guard, h=1e-7)
         assert rel_err(yt.grad, fd[0]) < 1e-4
+
+    def test_two_backward_passes_on_one_model(self, rng):
+        # the parameters are leaves shared by both graphs; the first backward
+        # must leave them usable, and the second must give the same grads
+        cfg = ModelConfig(filters_n=4, mixtures_k=1, downsample_factor=2,
+                          hyper_downsample=2, use_attention=False)
+        m = init_weights(cfg, seed=4)
+        x = T.Tensor(rng.normal(size=(1, 3, 4, 4)))
+        grads = []
+        for _ in range(2):
+            for t in m.params.values():
+                t.grad = None
+            T.reduce_sum(T.square(m.synthesis(m.analysis(x)))).backward()
+            grads.append({k: t.grad for k, t in m.params.items() if t.grad is not None})
+        assert grads[0] and grads[0].keys() == grads[1].keys()
+        for k in grads[0]:
+            np.testing.assert_array_equal(grads[0][k], grads[1][k])
 
     def test_analysis_synthesis_end_to_end_gradient(self, rng, kink_guard):
         cfg = ModelConfig(filters_n=4, mixtures_k=1, downsample_factor=2,

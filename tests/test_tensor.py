@@ -363,6 +363,15 @@ class TestBackward:
         with pytest.raises(ContractViolation):
             loss.backward()
 
+    def test_leaf_reused_in_second_graph(self, rng):
+        data = rng.normal(size=3)
+        w = T.Tensor(data, requires_grad=True)
+        T.reduce_sum(T.mul(w, w)).backward()
+        np.testing.assert_array_equal(w.grad, 2 * data)
+        w.grad = None
+        T.reduce_sum(T.mul(w, 3.0)).backward()
+        np.testing.assert_array_equal(w.grad, np.full(3, 3.0))
+
     def test_debug_nan_guard(self):
         T.set_debug_checks(True)
         try:
