@@ -172,7 +172,7 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     # bin differences of all rows in one 1-D subtraction; the difference
     # across each row boundary lands in the dropped last column
     flat = cdf.reshape(-1)
-    pmf_k = np.empty_like(cdf)
+    pmf_k = np.empty(cdf.shape)  # C order, so its flat view is not a copy
     np.subtract(flat[1:], flat[:-1], out=pmf_k.reshape(-1)[:-1])
     return np.einsum("...k,...ks->...s", w, pmf_k[..., :-1])
 
@@ -314,9 +314,9 @@ def rate_bits(pmfs) -> float:
 def _scale_lattice_round(scales: np.ndarray, grid: SymbolGrid) -> np.ndarray:
     lo = SCALE_FLOOR
     hi = grid.span
-    s = np.minimum(np.maximum(scales, lo), hi)
+    s = np.clip(scales, lo, hi)
     ratio = np.log(s / lo) / np.log(hi / lo)  # in [0, 1]
-    idx = np.rint(ratio * (SCALE_LEVELS - 1))
+    idx = np.round(ratio * (SCALE_LEVELS - 1))
     return lo * (hi / lo) ** (idx / (SCALE_LEVELS - 1))
 
 
@@ -351,7 +351,7 @@ def determinize(weights, means, scales, grid: SymbolGrid, k_axis: int = -1):
     """
     w = _weights_largest_remainder(np.asarray(weights, dtype=np.float64), k_axis)
     mean_step = grid.step_norm / MEAN_LATTICE
-    m = np.rint(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
+    m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
     s = _scale_lattice_round(np.asarray(scales, dtype=np.float64), grid)
     return w, m, s
 
@@ -414,21 +414,25 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     if n_empty == 0:
         return cum.astype(np.uint32)
     counts = cum[1:] - cum[:-1]  # sums to exactly CDF_TOTAL
-    # The largest bin alone gives all E units when top - E >= second. Its
-    # slot reads 0 while the rest is searched: that raises the rest's
+    # The largest bin alone gives all E units when top - E >= second. Any
+    # other bin above top - E rules that out; on unimodal rows the top's
+    # neighbours hold the second count, so they are read before the full
+    # max. The top's slot reads 0 during the max: that raises the rest's
     # maximum only where every other count is negative, and then top - E
     # still exceeds it and the total check below raises.
     j = int(counts.argmax())
     top = int(counts[j])
-    counts[j] = 0
-    if top - n_empty >= counts.max():
-        counts[j] = top - n_empty
-        np.maximum(counts, 1, out=counts)
-        np.add.accumulate(counts, out=cum[1:])
-        if cum[-1] != CDF_TOTAL:
-            raise ContractViolation("pmf has a negative entry: its cumulative decreases")
-        return cum.astype(np.uint32)
-    counts[j] = top
+    cut = top - n_empty
+    if counts[j - 1] <= cut and counts[(j + 1) % n] <= cut:
+        counts[j] = 0
+        if cut >= counts.max():
+            counts[j] = cut
+            np.maximum(counts, 1, out=counts)
+            np.add.accumulate(counts, out=cum[1:])
+            if cum[-1] != CDF_TOTAL:
+                raise ContractViolation("pmf has a negative entry: its cumulative decreases")
+            return cum.astype(np.uint32)
+        counts[j] = top
     # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
     # nondecreasing in k. The first m bins, those with excess(s[m]) > E,
     # are cut, to T = ceil((sum(s[:m]) - E) / m).

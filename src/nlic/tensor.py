@@ -136,7 +136,13 @@ class Tensor:
         return mul(self, -1.0)
 
     def backward(self) -> None:
-        """Populate grads of all requires_grad leaves reachable from this scalar."""
+        """Populate grads of all requires_grad leaves reachable from this scalar.
+
+        Op records are released as they are used, so a second backward()
+        through the same recorded graph raises. A root without op records
+        (a leaf, or a result of inputs that need no grad) has nothing to
+        release: backward() on it again sets its grad to one again.
+        """
         if self.data.size != 1:
             raise ContractViolation(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"

@@ -220,6 +220,23 @@ class TestGmmPmfTableOracle:
             else:
                 assert shape == mu.shape + (n_edges,)
 
+    @GRIDS
+    @pytest.mark.parametrize("scale", ["floor", "mixed", "span"])
+    @pytest.mark.parametrize("layout", ["moveaxis", "fortran"])
+    def test_non_contiguous_params(self, grid, scale, layout, rng):
+        # model heads give [B, K, C, H, W]; moving K last leaves strided views
+        w, mu, sd = (np.ascontiguousarray(np.moveaxis(a, -1, 1))
+                     for a in random_gmm_params(rng, (2, 3, 4, 5), 3, grid))
+        if scale != "mixed":
+            sd[:] = E.SCALE_FLOOR if scale == "floor" else grid.span
+        expected = E.gmm_pmf_table(*(np.moveaxis(a, 1, -1).copy() for a in (w, mu, sd)), grid)
+        if layout == "moveaxis":
+            params = [np.moveaxis(a, 1, -1) for a in (w, mu, sd)]
+        else:
+            params = [np.asfortranarray(np.moveaxis(a, 1, -1)) for a in (w, mu, sd)]
+        assert not any(a.flags.c_contiguous for a in params)
+        np.testing.assert_array_equal(E.gmm_pmf_table(*params, grid), expected)
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(mixture_batches())
     def test_random_batches(self, batch):
@@ -706,8 +723,15 @@ class TestBuildCdfOracle:
         ([0] * 100 + [65000] + [0] * 154 + [536], True),
         ([0] * 100 + [32895] + [0] * 154 + [32641], True),
         ([0] * 100 + [32800] + [0] * 154 + [32736], False),
+        # the top's neighbours, wrapping at the ends, are read before the max
+        ([32000, 0, 1536, 32000], False),
+        ([0, 1535, 32000, 32001], True),
+        ([0, 32718, 99, 32719, 0], False),
+        ([0, 32717, 100, 32719, 0], True),
     ], ids=["top-E=second", "top-E=second-1", "tied-top", "two-donors-one-cut",
-            "single-donor", "E=n-1", "E=n-2-small-second", "E=n-2-on-edge", "E=n-2-level"])
+            "single-donor", "E=n-1", "E=n-2-small-second", "E=n-2-on-edge", "E=n-2-level",
+            "tied-top-at-ends", "top-last", "second-apart-top-E=second-1",
+            "second-apart-top-E=second"])
     def test_largest_bin_alone(self, counts, one_donor):
         assert sum(counts) == E.CDF_TOTAL
         assert self.one_donor(counts) is one_donor

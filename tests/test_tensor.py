@@ -372,6 +372,17 @@ class TestBackward:
         T.reduce_sum(T.mul(w, 3.0)).backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 3.0))
 
+    def test_parentless_root_backward_twice(self):
+        # a scalar leaf as its own loss records no ops: a second backward
+        # repeats the first, and the leaf still joins a later graph
+        w = T.Tensor(np.array(2.0), requires_grad=True)
+        w.backward()
+        w.backward()
+        np.testing.assert_array_equal(w.grad, 1.0)
+        w.grad = None
+        T.reduce_sum(T.mul(w, 3.0)).backward()
+        np.testing.assert_array_equal(w.grad, 3.0)
+
     def test_debug_nan_guard(self):
         T.set_debug_checks(True)
         try:
