@@ -4,7 +4,6 @@ with a hyperprior, causal context models, and a deterministic range coder."""
 __version__ = "0.1.0"
 
 from .errors import (
-    CapacityError,
     ConfigError,
     ContractViolation,
     DataError,
@@ -18,7 +17,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CapacityError",
     "ConfigError",
     "ContractViolation",
     "DataError",

@@ -51,7 +51,6 @@ class RangeEncoder:
         self._cache_size = 1  # accounts for the leading dummy byte
         self._out = bytearray()
         self._finished = False
-        self.symbol_count = 0
 
     def encode_symbol(self, symbol: int, cdf: np.ndarray) -> None:
         """cdf is the cumulative table from build_cdf; symbol indexes its bins.
@@ -73,7 +72,6 @@ class RangeEncoder:
         while self._range < _TOP:
             self._shift_low()
             self._range = (self._range << 8) & _MASK32
-        self.symbol_count += 1
 
     def _shift_low(self) -> None:
         if self._low < 0xFF000000 or self._low > _MASK32:

@@ -120,6 +120,22 @@ def _edge_tables(grid: SymbolGrid):
     return edges, steps
 
 
+def _bin_masses(cdf: np.ndarray) -> np.ndarray:
+    """Bin masses [..., n] from cumulative rows [..., n+1] at a grid's edges.
+
+    The first and last edges of cdf are set to 0 and 1 in place, so the end
+    bins absorb the tails. The differences of all rows are taken in one 1-D
+    subtraction; the difference across each row boundary lands in a last
+    column that the returned view drops.
+    """
+    cdf[..., 0] = 0.0
+    cdf[..., -1] = 1.0
+    flat = cdf.reshape(-1)
+    masses = np.empty(cdf.shape)  # C order, so its flat view is not a copy
+    np.subtract(flat[1:], flat[:-1], out=masses.reshape(-1)[:-1])
+    return masses[..., :-1]
+
+
 def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     """Discrete pmf over the full support for every leading-index location.
 
@@ -167,29 +183,7 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         cdf = cdf.reshape(mu.shape + edges.shape)
     else:
         cdf = ndtr((edges - mu[..., None]) / sd[..., None])
-    cdf[..., 0] = 0.0
-    cdf[..., -1] = 1.0
-    # bin differences of all rows in one 1-D subtraction; the difference
-    # across each row boundary lands in the dropped last column
-    flat = cdf.reshape(-1)
-    pmf_k = np.empty(cdf.shape)  # C order, so its flat view is not a copy
-    np.subtract(flat[1:], flat[:-1], out=pmf_k.reshape(-1)[:-1])
-    return np.einsum("...k,...ks->...s", w, pmf_k[..., :-1])
-
-
-def _check_symbol(symbol: int, grid: SymbolGrid) -> None:
-    if symbol < grid.lo or symbol > grid.hi:
-        raise ContractViolation(f"symbol {symbol} outside grid [{grid.lo}, {grid.hi}]")
-
-
-def gmm_pmf(symbol: int, weights, means, scales, grid: SymbolGrid) -> float:
-    """Probability mass of one integer symbol under a one-location mixture
-    (weights, means and scales of shape [K]): its entry in gmm_pmf_table."""
-    _check_symbol(symbol, grid)
-    table = gmm_pmf_table(weights, means, scales, grid)
-    if table.ndim != 1:
-        raise ContractViolation(f"gmm_pmf takes one location, got {table.shape[:-1]}")
-    return float(table[symbol - grid.lo])
+    return np.einsum("...k,...ks->...s", w, _bin_masses(cdf))
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +244,7 @@ class FactorizedPrior:
         edges = grid.edges()  # [n+1]
         v = np.broadcast_to(edges[:, None], (edges.size, self.channels))
         cdf = self.cdf_values(v)  # [n+1, C]
-        cdf = cdf.T.copy()  # [C, n+1]
-        cdf[:, 0] = 0.0
-        cdf[:, -1] = 1.0
-        return np.diff(cdf, axis=1)
-
-
-def factorized_pmf(symbol: int, channel: int, prior: FactorizedPrior,
-                   grid: SymbolGrid) -> float:
-    """Probability mass of one symbol in one channel: its entry in the
-    prior's pmf_table."""
-    _check_symbol(symbol, grid)
-    return float(prior.pmf_table(grid)[channel, symbol - grid.lo])
+        return _bin_masses(cdf.T.copy())  # [C, n+1] -> [C, n]
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +274,6 @@ def round_quantize(values, grid: SymbolGrid) -> QuantizeResult:
     clamped = np.clip(rounded, grid.lo, grid.hi)
     clamp_count = int(np.count_nonzero(rounded != clamped))
     return QuantizeResult(symbols=clamped.astype(np.int32), clamp_count=clamp_count)
-
-
-# ---------------------------------------------------------------------------
-# rate accounting
-# ---------------------------------------------------------------------------
-
-
-def rate_bits(pmfs) -> float:
-    """Sum of -log2(p): the theoretical codelength of the symbol stream."""
-    p = np.asarray(pmfs, dtype=np.float64)
-    if np.any(p <= 0) or np.any(p > 1):
-        raise ContractViolation("rate_bits: probabilities must be in (0, 1]")
-    return float(-np.sum(np.log2(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ class DataError(NlicError):
     """Unusable input data: bad image file, undersized training image, ..."""
 
 
-class CapacityError(NlicError):
-    """Input exceeds the configured symbol-grid or size bounds."""
-
-
 class PrecisionError(NlicError):
     """Symbol support too large for the fixed-point CDF precision."""
 

@@ -139,7 +139,9 @@ class _ParamStore:
     def add(self, name: str, shape, init: str, fan_in: int = 0) -> Tensor:
         if name in self.params:
             raise ContractViolation(f"duplicate parameter {name}")
-        t = Tensor(np.zeros(shape), requires_grad=True)
+        # a read-only zero view: init_random or load_state replaces it, so a
+        # config alone allocates nothing
+        t = Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
         self.params[name] = t
         self.specs[name] = (init, fan_in)  # read by Model.init_random
         return t

@@ -14,8 +14,7 @@ keeping the backward closures and their inputs alive.
 Tensors are treated as immutable once created. A graph and its tensors are
 confined to a single thread; independent graphs may run concurrently.
 ``no_grad`` is a context variable, so entering it in one thread (or asyncio
-task) leaves recording on in every other. ``set_debug_checks`` is not: it
-sets one process-global flag that every thread reads.
+task) leaves recording on in every other.
 """
 
 from __future__ import annotations
@@ -32,26 +31,8 @@ from .errors import ConfigError, ContractViolation
 LEAKY_SLOPE = 0.2
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# When enabled, every op asserts its output is finite and log guards its
-# domain. Costs a pass over the data, so off by default.
-_debug_checks = False
-
 # False inside no_grad(); read by _make
 _grad_enabled = contextvars.ContextVar("nlic_grad_enabled", default=True)
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Switch the finite-output and log-domain checks of every op on or off.
-
-    The flag is process-global: it applies at once to ops in all threads,
-    unlike no_grad, which is scoped to the current context.
-    """
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
 
 
 @contextlib.contextmanager
@@ -67,11 +48,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
-
-
-def _check_finite(data: np.ndarray, op_name: str) -> None:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise ContractViolation(f"{op_name}: non-finite values in output")
 
 
 class Tensor:
@@ -107,9 +83,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractViolation(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -193,8 +166,7 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: np.ndarray, parents, backward_fn, op_name: str) -> Tensor:
-    _check_finite(data, op_name)
+def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor(data)
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -237,7 +209,7 @@ def add(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _make(data, (a, b), backward, "add")
+    return _make(data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -248,7 +220,7 @@ def sub(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(-g, b.data.shape))
 
-    return _make(data, (a, b), backward, "sub")
+    return _make(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -259,7 +231,7 @@ def mul(a, b) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _make(data, (a, b), backward, "mul")
+    return _make(data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -270,7 +242,7 @@ def div(a, b) -> Tensor:
         _accum(a, _unbroadcast(g / b.data, a.data.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _make(data, (a, b), backward, "div")
+    return _make(data, (a, b), backward)
 
 
 def leaky_relu(t: Tensor) -> Tensor:
@@ -281,7 +253,7 @@ def leaky_relu(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * np.where(t.data >= 0, 1.0, LEAKY_SLOPE))
 
-    return _make(data, (t,), backward, "leaky_relu")
+    return _make(data, (t,), backward)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -297,7 +269,7 @@ def sigmoid(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * data * (1.0 - data))
 
-    return _make(data, (t,), backward, "sigmoid")
+    return _make(data, (t,), backward)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -307,7 +279,7 @@ def tanh(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * (1.0 - data * data))
 
-    return _make(data, (t,), backward, "tanh")
+    return _make(data, (t,), backward)
 
 
 def exp(t: Tensor) -> Tensor:
@@ -317,19 +289,17 @@ def exp(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * data)
 
-    return _make(data, (t,), backward, "exp")
+    return _make(data, (t,), backward)
 
 
 def log(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    if _debug_checks and np.any(t.data <= 0):
-        raise ContractViolation("log: non-positive input")
     data = np.log(t.data)
 
     def backward(g):
         _accum(t, g / t.data)
 
-    return _make(data, (t,), backward, "log")
+    return _make(data, (t,), backward)
 
 
 def softplus(t: Tensor) -> Tensor:
@@ -339,7 +309,7 @@ def softplus(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * _logistic(t.data))
 
-    return _make(data, (t,), backward, "softplus")
+    return _make(data, (t,), backward)
 
 
 def square(t: Tensor) -> Tensor:
@@ -349,7 +319,7 @@ def square(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * 2.0 * t.data)
 
-    return _make(data, (t,), backward, "square")
+    return _make(data, (t,), backward)
 
 
 def normal_cdf(t: Tensor) -> Tensor:
@@ -360,7 +330,7 @@ def normal_cdf(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, g * _INV_SQRT_2PI * np.exp(-0.5 * t.data * t.data))
 
-    return _make(data, (t,), backward, "normal_cdf")
+    return _make(data, (t,), backward)
 
 
 def clamp_min(t: Tensor, bound: float) -> Tensor:
@@ -377,7 +347,7 @@ def clamp_min(t: Tensor, bound: float) -> Tensor:
         pass_through = (t.data >= bound) | (g < 0)
         _accum(t, g * pass_through)
 
-    return _make(data, (t,), backward, "clamp_min")
+    return _make(data, (t,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +367,7 @@ def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(t, np.broadcast_to(g, t.data.shape).copy())
 
-    return _make(data, (t,), backward, "sum")
+    return _make(data, (t,), backward)
 
 
 def mean(t: Tensor) -> Tensor:
@@ -408,7 +378,7 @@ def mean(t: Tensor) -> Tensor:
     def backward(g):
         _accum(t, np.broadcast_to(g / n, t.data.shape).copy())
 
-    return _make(data, (t,), backward, "mean")
+    return _make(data, (t,), backward)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -418,7 +388,7 @@ def reshape(t: Tensor, shape) -> Tensor:
     def backward(g):
         _accum(t, g.reshape(t.data.shape))
 
-    return _make(data, (t,), backward, "reshape")
+    return _make(data, (t,), backward)
 
 
 def transpose(t: Tensor, axes) -> Tensor:
@@ -430,7 +400,7 @@ def transpose(t: Tensor, axes) -> Tensor:
     def backward(g):
         _accum(t, g.transpose(inverse))
 
-    return _make(data, (t,), backward, "transpose")
+    return _make(data, (t,), backward)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -445,7 +415,7 @@ def concat(tensors, axis: int) -> Tensor:
             idx[axis] = slice(lo, hi)
             _accum(t, g[tuple(idx)])
 
-    return _make(data, tuple(tensors), backward, "concat")
+    return _make(data, tuple(tensors), backward)
 
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -460,7 +430,7 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
         buf[idx] = g
         _accum(t, buf)
 
-    return _make(data, (t,), backward, "narrow")
+    return _make(data, (t,), backward)
 
 
 def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
@@ -486,7 +456,7 @@ def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
         dot = (gg * y).sum(axis=2, keepdims=True)
         _accum(t, (y * (gg - dot)).reshape(b, c, h, w))
 
-    return _make(data, (t,), backward, "softmax_channel_groups")
+    return _make(data, (t,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -494,32 +464,34 @@ def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
+    """Cross-correlate [B,C,H,W] (zero-padded by pad) with w [Co,C,kh,kw].
+
+    Returns the contiguous [B,Co,OH,OW] products and the [B,C,OH,OW,kh,kw]
+    window view they were taken from, which the weight gradient reuses.
+    """
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(x, w.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # [B,OH,OW,Co]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), win
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    # [B,C,Hp,Wp] -> [B,C,OH,OW,kh,kw]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
-def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_padded_shape, stride: int, pad: int):
-    """Scatter conv output-grad back to the (unpadded) input."""
-    b, co, oh, ow = g.shape
-    _, ci, kh, kw = w.shape
-    gp = np.zeros(x_padded_shape, dtype=np.float64)
+def _scatter(g: np.ndarray, w: np.ndarray, stride: int, pad: int, out_hw) -> np.ndarray:
+    """Adjoint of _correlate: every location of g [B,Co,H,W] adds its value
+    times w [Co,C,kh,kw] into the kh x kw patch it was correlated from, on a
+    canvas padded by pad; returns the [B,C,*out_hw] interior of the canvas."""
+    bsz, _, h, w_in = g.shape
+    kh, kw = w.shape[2:]
+    oh, ow = out_hw
+    full = np.zeros((bsz, w.shape[1], oh + 2 * pad, ow + 2 * pad))
+    tmp = np.tensordot(g, w, axes=([1], [0]))  # [B,H,W,C,kh,kw]
     for u in range(kh):
         for v in range(kw):
-            # [B,OH,OW,Ci]
-            tmp = np.tensordot(g, w[:, :, u, v], axes=([1], [0]))
-            gp[:, :, u:u + stride * (oh - 1) + 1:stride,
-               v:v + stride * (ow - 1) + 1:stride] += tmp.transpose(0, 3, 1, 2)
-    if pad:
-        return gp[:, :, pad:gp.shape[2] - pad, pad:gp.shape[3] - pad]
-    return gp
+            full[:, :, u:u + stride * (h - 1) + 1:stride,
+                 v:v + stride * (w_in - 1) + 1:stride] += \
+                tmp[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    return full[:, :, pad:pad + oh, pad:pad + ow]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -546,17 +518,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     if oh < 1 or ow < 1:
         raise ContractViolation(f"conv2d: empty output {oh}x{ow} for input {h}x{w_in}")
 
-    xp = _pad_hw(x.data, pad)
-    win = _windows(xp, kh, kw, stride)
-    out = np.tensordot(win, w.data, axes=([1, 4, 5], [1, 2, 3]))  # [B,OH,OW,Co]
-    data = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b.data[None, :, None, None]
+    out, win = _correlate(x.data, w.data, stride, pad)
+    data = out + b.data[None, :, None, None]
 
     def backward(g):
         _accum(b, g.sum(axis=(0, 2, 3)))
         _accum(w, np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
-        _accum(x, _conv_input_grad(g, w.data, xp.shape, stride, pad))
+        _accum(x, _scatter(g, w.data, stride, pad, (h, w_in)))
 
-    return _make(data, (x, w, b), backward, "conv2d")
+    return _make(data, (x, w, b), backward)
 
 
 def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -573,31 +543,21 @@ def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int
             f"conv2d_transposed: input channels {x.data.shape[1]} != weight Cin {ci}")
     if b.data.shape != (co,):
         raise ContractViolation(f"conv2d_transposed: bias shape {b.data.shape} != ({co},)")
-    bsz, _, h, w_in = x.data.shape
+    h, w_in = x.data.shape[2], x.data.shape[3]
     oh = (h - 1) * stride - 2 * pad + kh
     ow = (w_in - 1) * stride - 2 * pad + kw
     if oh < 1 or ow < 1:
         raise ContractViolation(f"conv2d_transposed: empty output {oh}x{ow}")
 
-    full = np.zeros((bsz, co, (h - 1) * stride + kh, (w_in - 1) * stride + kw))
-    tmp = np.tensordot(x.data, w.data, axes=([1], [0]))  # [B,H,W,Co,kh,kw]
-    for u in range(kh):
-        for v in range(kw):
-            full[:, :, u:u + stride * (h - 1) + 1:stride,
-                 v:v + stride * (w_in - 1) + 1:stride] += \
-                tmp[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    data = full[:, :, pad:pad + oh, pad:pad + ow] + b.data[None, :, None, None]
-    data = np.ascontiguousarray(data)
+    data = _scatter(x.data, w.data, stride, pad, (oh, ow)) + b.data[None, :, None, None]
 
     def backward(g):
         _accum(b, g.sum(axis=(0, 2, 3)))
-        gp = _pad_hw(g, pad)
-        gwin = _windows(gp, kh, kw, stride)  # [B,Co,H,W,kh,kw]
+        gx, gwin = _correlate(g, w.data, stride, pad)  # gwin [B,Co,H,W,kh,kw]
         _accum(w, np.tensordot(x.data, gwin, axes=([0, 2, 3], [0, 2, 3])))
-        _accum(x, np.ascontiguousarray(
-            np.tensordot(gwin, w.data, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)))
+        _accum(x, gx)
 
-    return _make(data, (x, w, b), backward, "conv2d_transposed")
+    return _make(data, (x, w, b), backward)
 
 
 def causal_mask(kernel: int) -> np.ndarray:
@@ -612,30 +572,16 @@ def causal_mask(kernel: int) -> np.ndarray:
 
 
 def masked_conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int) -> Tensor:
-    """Strictly causal (mask type A) convolution, stride 1, pad kernel//2.
+    """Strictly causal (mask type A) convolution, stride 1, pad kernel//2:
+    conv2d with the weight multiplied by causal_mask(kernel).
 
     The mask zeroes the center tap and every raster-later tap in both the
     forward and backward pass, so masked weights never receive gradient and
     output (i,j) depends only on raster-earlier inputs.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     mask = causal_mask(kernel)
+    w = _as_tensor(w)
     if w.data.shape[2:] != (kernel, kernel):
         raise ContractViolation(
             f"masked_conv2d: weight spatial dims {w.data.shape[2:]} != ({kernel},{kernel})")
-    co, ci, kh, kw = w.data.shape
-    pad = kernel // 2
-    w_eff = w.data * mask
-
-    xp = _pad_hw(x.data, pad)
-    win = _windows(xp, kh, kw, 1)
-    out = np.tensordot(win, w_eff, axes=([1, 4, 5], [1, 2, 3]))
-    data = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b.data[None, :, None, None]
-
-    def backward(g):
-        _accum(b, g.sum(axis=(0, 2, 3)))
-        gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
-        _accum(w, gw * mask)
-        _accum(x, _conv_input_grad(g, w_eff, xp.shape, 1, pad))
-
-    return _make(data, (x, w, b), backward, "masked_conv2d")
+    return conv2d(x, mul(w, mask), b, 1, kernel // 2)

@@ -30,16 +30,16 @@ def random_gmm_params(rng, shape, k, grid):
 class TestGmmPmf:
     def test_unit_gaussian_center_bin_oracle(self):
         # K=1, mu=0, sigma=1, unit step, symbol at value 0
-        p = E.gmm_pmf(0, [1.0], [0.0], [1.0], E.LATENT_GRID)
+        p = E.gmm_pmf_table([1.0], [0.0], [1.0], E.LATENT_GRID)[0 - E.LATENT_GRID.lo]
         expected = phi_oracle(0.5) - phi_oracle(-0.5)
         assert abs(p - expected) < 1e-12
         assert abs(p - 0.3829249) < 1e-6
 
     def test_mixture_collapse(self, rng):
         w = rng.dirichlet(np.ones(3))
-        p3 = E.gmm_pmf(5, w, [2.0] * 3, [4.0] * 3, E.LATENT_GRID)
-        p1 = E.gmm_pmf(5, [1.0], [2.0], [4.0], E.LATENT_GRID)
-        assert abs(p3 - p1) < 1e-12
+        p3 = E.gmm_pmf_table(w, [2.0] * 3, [4.0] * 3, E.LATENT_GRID)
+        p1 = E.gmm_pmf_table([1.0], [2.0], [4.0], E.LATENT_GRID)
+        assert abs(p3[5 - E.LATENT_GRID.lo] - p1[5 - E.LATENT_GRID.lo]) < 1e-12
 
     def test_sums_to_one_randomized(self, rng):
         for grid in (E.PIXEL_GRID, E.LATENT_GRID):
@@ -48,27 +48,11 @@ class TestGmmPmf:
             assert pmf.shape == (50, grid.n_symbols)
             np.testing.assert_allclose(pmf.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_table_matches_single_symbol(self, rng):
-        grid = E.PIXEL_GRID
-        w, mu, sd = random_gmm_params(rng, (), 3, grid)
-        table = E.gmm_pmf_table(w, mu, sd, grid)
-        for s in (0, 1, 128, 254, 255):
-            assert abs(table[s] - E.gmm_pmf(s, w, mu, sd, grid)) < 1e-14
-
     def test_cumulative_monotone(self, rng):
         grid = E.LATENT_GRID
         w, mu, sd = random_gmm_params(rng, (200,), 3, grid)
         pmf = E.gmm_pmf_table(w, mu, sd, grid)
         assert (pmf >= 0).all()
-
-    def test_symbol_out_of_grid(self):
-        with pytest.raises(ContractViolation):
-            E.gmm_pmf(300, [1.0], [0.0], [1.0], E.PIXEL_GRID)
-
-    def test_one_location_only(self, rng):
-        w, mu, sd = random_gmm_params(rng, (4,), 3, E.LATENT_GRID)
-        with pytest.raises(ContractViolation, match="one location"):
-            E.gmm_pmf(0, w, mu, sd, E.LATENT_GRID)
 
 
 def _gmm_pmf_table_full(weights, means, scales, grid):
@@ -278,8 +262,8 @@ class TestMixtureContract:
         with pytest.raises(ContractViolation, match=field):
             E.gmm_pmf_table(params["weights"], params["means"], params["scales"], grid)
         with pytest.raises(ContractViolation, match=field):
-            E.gmm_pmf(7, params["weights"][2, 1], params["means"][2, 1], params["scales"][2, 1],
-                      grid)
+            E.gmm_pmf_table(params["weights"][2, 1], params["means"][2, 1],
+                            params["scales"][2, 1], grid)
 
     @pytest.mark.parametrize("w_shape, mu_shape, sd_shape", [
         ((4, 2), (4, 3), (4, 3)), ((4, 3), (4, 2), (4, 3)), ((4, 3), (4, 3), (4, 2)),
@@ -319,7 +303,7 @@ class TestFactorizedPrior:
 
     def test_fresh_prior_is_broad(self):
         prior = E.FactorizedPrior.init(4)
-        p0 = E.factorized_pmf(0, 0, prior, E.LATENT_GRID)
+        p0 = prior.pmf_table(E.LATENT_GRID)[0, 0 - E.LATENT_GRID.lo]
         assert p0 < 0.5
 
     def test_sums_to_one(self, rng):
@@ -344,15 +328,6 @@ class TestFactorizedPrior:
             assert (np.diff(cdf, axis=0) >= 0).all()
             # float saturation to exactly 0/1 far in the tails is fine
             assert (cdf >= 0).all() and (cdf <= 1).all()
-
-    def test_single_symbol_matches_table(self, rng):
-        prior = E.FactorizedPrior.init(3)
-        prior.b_layers[1] = rng.normal(size=3)
-        table = prior.pmf_table(E.LATENT_GRID)
-        for c in range(3):
-            for s in (-127, -1, 0, 64, 127):
-                idx = s - E.LATENT_GRID.lo
-                assert abs(table[c, idx] - E.factorized_pmf(s, c, prior, E.LATENT_GRID)) < 1e-14
 
 
 class TestQuantizers:
@@ -388,23 +363,6 @@ class TestQuantizers:
         expected = int(((rounded < -127) | (rounded > 127)).sum())
         assert res.clamp_count == expected
         assert res.symbols.min() >= -127 and res.symbols.max() <= 127
-
-
-class TestRateBits:
-    def test_half_probabilities(self):
-        assert E.rate_bits(np.full(100, 0.5)) == pytest.approx(100.0)
-
-    def test_certain_symbols_cost_nothing(self):
-        assert E.rate_bits(np.ones(10)) == 0.0
-
-    def test_matches_compensated_summation(self, rng):
-        p = rng.uniform(1e-6, 1.0, size=10000)
-        expected = -math.fsum(math.log2(v) for v in p)
-        assert abs(E.rate_bits(p) - expected) / expected < 1e-9
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            E.rate_bits([0.0, 0.5])
 
 
 class TestDeterminize:

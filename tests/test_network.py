@@ -3,6 +3,7 @@ the no_grad forward path, initialization contracts, ablation key sets,
 config text and weight serialization."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,21 @@ class TestWeightsParsing:
         bad = blob[:8] + b"\xff" + blob[9:]
         with pytest.raises(ConfigError, match="UTF-8"):
             deserialize_weights(bad)
+
+    @pytest.mark.parametrize("filters_n", [128, 100000])
+    def test_config_alone_allocates_nothing(self, filters_n):
+        # config text and an empty manifest: the model the text names is
+        # never filled, so building it must not allocate its weights
+        text = f"filters_n={filters_n}\n".encode()
+        blob = b"NLW1" + struct.pack("<I", len(text)) + text + struct.pack("<IQ", 0, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolation, match="key mismatch"):
+                deserialize_weights(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestGradientFlow:
