@@ -216,6 +216,9 @@ class FactorizedPrior:
     """
 
     N_LAYERS = 3
+    # raw (pre-softplus) slope of every layer at initialization, chosen so
+    # the composed cumulative is roughly a sigmoid of width 10
+    INIT_RAW_SLOPE = float(np.log(np.expm1(0.1 ** (1 / N_LAYERS))))
 
     def __init__(self, h_layers, b_layers, a_layers):
         # each a list of N_LAYERS arrays of shape [C]
@@ -225,12 +228,8 @@ class FactorizedPrior:
         self.channels = self.h_layers[0].shape[0]
 
     @classmethod
-    def init(cls, channels: int, target_width: float = 10.0):
-        # per-layer slope chosen so the composed cumulative is roughly a
-        # sigmoid of width target_width at initialization
-        slope = (1.0 / target_width) ** (1.0 / cls.N_LAYERS)
-        raw = np.log(np.expm1(slope))
-        h = [np.full(channels, raw) for _ in range(cls.N_LAYERS)]
+    def init(cls, channels: int):
+        h = [np.full(channels, cls.INIT_RAW_SLOPE) for _ in range(cls.N_LAYERS)]
         b = [np.zeros(channels) for _ in range(cls.N_LAYERS)]
         a = [np.zeros(channels) for _ in range(cls.N_LAYERS)]
         return cls(h, b, a)

@@ -284,7 +284,6 @@ class Model:
     def init_random(self, seed: int) -> "Model":
         """Deterministic per-parameter init; independent of sibling params so
         ablation configs share values for the keys they have in common."""
-        prior_slope = (1.0 / 10.0) ** (1.0 / FactorizedPrior.N_LAYERS)
         for name, t in self.params.items():
             kind, fan_in = self._init_specs[name]
             rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -297,7 +296,7 @@ class Model:
                 bound = 0.01 * np.sqrt(3.0 / fan_in)
                 data = rng.uniform(-bound, bound, size=t.data.shape)
             elif kind == "prior_slope":
-                data = np.full(t.data.shape, np.log(np.expm1(prior_slope)))
+                data = np.full(t.data.shape, FactorizedPrior.INIT_RAW_SLOPE)
             else:
                 raise ContractViolation(f"unknown init kind {kind}")
             t.data = data

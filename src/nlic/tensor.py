@@ -7,9 +7,15 @@ per forward pass; ``backward()`` on a scalar loss walks it once in reverse
 topological order and then releases it, so a second backward without a new
 forward raises.
 
+Each op hands ``_make`` one edge per input: the input and its
+vector-Jacobian product (VJP), a function from the output's gradient to
+that input's gradient before unbroadcasting. ``_make`` keeps only the
+edges whose input requires grad, so no gradient is ever computed for a
+constant. ``Tensor.backward`` alone unbroadcasts and accumulates.
+
 Inside ``no_grad()`` ops record no graph: outputs have ``requires_grad``
 False and no parents, so inference runs the same ops as training without
-keeping the backward closures and their inputs alive.
+keeping the VJPs and their inputs alive.
 
 Tensors are treated as immutable once created. A graph and its tensors are
 confined to a single thread; independent graphs may run concurrently.
@@ -55,6 +61,9 @@ class Tensor:
 
     `data` is row-major and never mutated after construction; `grad` is
     allocated lazily by `backward()` for tensors with `requires_grad`.
+    An op's output keeps in `_parents` the inputs that require grad, and in
+    `_backward` their VJPs, aligned with `_parents`; a leaf, a constant and
+    any output under `no_grad` have `_parents == ()` and `_backward` None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
@@ -84,30 +93,6 @@ class Tensor:
             raise ContractViolation(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def backward(self) -> None:
         """Populate grads of all requires_grad leaves reachable from this scalar.
 
@@ -125,15 +110,18 @@ class Tensor:
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            fn = node._backward
-            if fn is not None:
-                fn(node.grad)
-            # release op records so a stale second backward is refused; a
-            # leaf has none and stays usable in later graphs
-            if node._parents:
-                node._backward = None
-                node._parents = ()
-                node._released = True
+            # a leaf has no op record and stays usable in later graphs
+            if not node._parents:
+                continue
+            for parent, vjp in zip(node._parents, node._backward):
+                g = _unbroadcast(vjp(node.grad), parent.data.shape)
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g
+            # release the op record so a stale second backward is refused
+            node._backward = None
+            node._parents = ()
+            node._released = True
 
 
 def _topo_order(root: Tensor):
@@ -166,21 +154,16 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
+def _make(data: np.ndarray, *edges) -> Tensor:
+    """Output tensor of an op; each edge is (input, vjp). Records the edges
+    whose input requires grad, unless recording is off."""
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    if _grad_enabled.get():
+        edges = [(t, vjp) for t, vjp in edges if t.requires_grad]
+        if edges:
+            out.requires_grad = True
+            out._parents, out._backward = zip(*edges)
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -203,57 +186,30 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _make(a.data / b.data, (a, lambda g: g / b.data),
+                 (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def leaky_relu(t: Tensor) -> Tensor:
     """Leaky ReLU with the fixed negative slope 0.2."""
     t = _as_tensor(t)
     data = np.where(t.data >= 0, t.data, LEAKY_SLOPE * t.data)
-
-    def backward(g):
-        _accum(t, g * np.where(t.data >= 0, 1.0, LEAKY_SLOPE))
-
-    return _make(data, (t,), backward)
+    return _make(data, (t, lambda g: g * np.where(t.data >= 0, 1.0, LEAKY_SLOPE)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -265,72 +221,41 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     data = _logistic(t.data)
-
-    def backward(g):
-        _accum(t, g * data * (1.0 - data))
-
-    return _make(data, (t,), backward)
+    return _make(data, (t, lambda g: g * data * (1.0 - data)))
 
 
 def tanh(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     data = np.tanh(t.data)
-
-    def backward(g):
-        _accum(t, g * (1.0 - data * data))
-
-    return _make(data, (t,), backward)
+    return _make(data, (t, lambda g: g * (1.0 - data * data)))
 
 
 def exp(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     data = np.exp(t.data)
-
-    def backward(g):
-        _accum(t, g * data)
-
-    return _make(data, (t,), backward)
+    return _make(data, (t, lambda g: g * data))
 
 
 def log(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    data = np.log(t.data)
-
-    def backward(g):
-        _accum(t, g / t.data)
-
-    return _make(data, (t,), backward)
+    return _make(np.log(t.data), (t, lambda g: g / t.data))
 
 
 def softplus(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    data = np.logaddexp(0.0, t.data)
-
-    def backward(g):
-        _accum(t, g * _logistic(t.data))
-
-    return _make(data, (t,), backward)
+    return _make(np.logaddexp(0.0, t.data), (t, lambda g: g * _logistic(t.data)))
 
 
 def square(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    data = t.data * t.data
-
-    def backward(g):
-        _accum(t, g * 2.0 * t.data)
-
-    return _make(data, (t,), backward)
+    return _make(t.data * t.data, (t, lambda g: g * 2.0 * t.data))
 
 
 def normal_cdf(t: Tensor) -> Tensor:
     """Standard normal cumulative Phi(x); backward is the normal pdf."""
     t = _as_tensor(t)
-    data = ndtr(t.data)
-
-    def backward(g):
-        _accum(t, g * _INV_SQRT_2PI * np.exp(-0.5 * t.data * t.data))
-
-    return _make(data, (t,), backward)
+    return _make(ndtr(t.data),
+                 (t, lambda g: g * _INV_SQRT_2PI * np.exp(-0.5 * t.data * t.data)))
 
 
 def clamp_min(t: Tensor, bound: float) -> Tensor:
@@ -341,13 +266,7 @@ def clamp_min(t: Tensor, bound: float) -> Tensor:
     of going silent.
     """
     t = _as_tensor(t)
-    data = np.maximum(t.data, bound)
-
-    def backward(g):
-        pass_through = (t.data >= bound) | (g < 0)
-        _accum(t, g * pass_through)
-
-    return _make(data, (t,), backward)
+    return _make(np.maximum(t.data, bound), (t, lambda g: g * ((t.data >= bound) | (g < 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -357,65 +276,44 @@ def clamp_min(t: Tensor, bound: float) -> Tensor:
 
 def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     t = _as_tensor(t)
-    data = t.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
-        if axis is None:
-            _accum(t, np.broadcast_to(g, t.data.shape).copy())
-            return
-        if not keepdims:
+    def vjp(g):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(t, np.broadcast_to(g, t.data.shape).copy())
+        return np.broadcast_to(g, t.data.shape)
 
-    return _make(data, (t,), backward)
+    return _make(t.data.sum(axis=axis, keepdims=keepdims), (t, vjp))
 
 
 def mean(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     n = t.data.size
-    data = np.asarray(t.data.mean())
-
-    def backward(g):
-        _accum(t, np.broadcast_to(g / n, t.data.shape).copy())
-
-    return _make(data, (t,), backward)
+    return _make(np.asarray(t.data.mean()), (t, lambda g: np.broadcast_to(g / n, t.data.shape)))
 
 
 def reshape(t: Tensor, shape) -> Tensor:
     t = _as_tensor(t)
-    data = t.data.reshape(shape)
-
-    def backward(g):
-        _accum(t, g.reshape(t.data.shape))
-
-    return _make(data, (t,), backward)
+    return _make(t.data.reshape(shape), (t, lambda g: g.reshape(t.data.shape)))
 
 
 def transpose(t: Tensor, axes) -> Tensor:
     t = _as_tensor(t)
     axes = tuple(axes)
-    data = np.ascontiguousarray(t.data.transpose(axes))
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accum(t, g.transpose(inverse))
-
-    return _make(data, (t,), backward)
+    return _make(np.ascontiguousarray(t.data.transpose(axes)),
+                 (t, lambda g: g.transpose(inverse)))
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
-
-    return _make(data, tuple(tensors), backward)
+    edges, lo = [], 0
+    for t in tensors:
+        idx = [slice(None)] * data.ndim
+        idx[axis] = slice(lo, lo + t.data.shape[axis])
+        edges.append((t, lambda g, idx=tuple(idx): g[idx]))
+        lo += t.data.shape[axis]
+    return _make(data, *edges)
 
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -423,14 +321,13 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * t.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    data = np.ascontiguousarray(t.data[idx])
 
-    def backward(g):
+    def vjp(g):
         buf = np.zeros_like(t.data)
         buf[idx] = g
-        _accum(t, buf)
+        return buf
 
-    return _make(data, (t,), backward)
+    return _make(np.ascontiguousarray(t.data[idx]), (t, vjp))
 
 
 def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
@@ -449,14 +346,13 @@ def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
     x = x - x.max(axis=2, keepdims=True)  # shift-invariant, keeps exp bounded
     e = np.exp(x)
     y = e / e.sum(axis=2, keepdims=True)
-    data = y.reshape(b, c, h, w)
 
-    def backward(g):
+    def vjp(g):
         gg = g.reshape(b, c // groups, groups, h, w)
         dot = (gg * y).sum(axis=2, keepdims=True)
-        _accum(t, (y * (gg - dot)).reshape(b, c, h, w))
+        return (y * (gg - dot)).reshape(b, c, h, w)
 
-    return _make(data, (t,), backward)
+    return _make(y.reshape(b, c, h, w), (t, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +360,18 @@ def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
-    """Cross-correlate [B,C,H,W] (zero-padded by pad) with w [Co,C,kh,kw].
-
-    Returns the contiguous [B,Co,OH,OW] products and the [B,C,OH,OW,kh,kw]
-    window view they were taken from, which the weight gradient reuses.
-    """
+def _windows(x: np.ndarray, kernel, stride: int, pad: int) -> np.ndarray:
+    """[B,C,OH,OW,kh,kw] window view of [B,C,H,W] zero-padded by pad."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, w.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    return sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _correlate(win: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Contiguous [B,Co,OH,OW] products of windows [B,C,OH,OW,kh,kw] with
+    w [Co,C,kh,kw]."""
     out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # [B,OH,OW,Co]
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), win
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, pad: int, out_hw) -> np.ndarray:
@@ -518,15 +415,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     if oh < 1 or ow < 1:
         raise ContractViolation(f"conv2d: empty output {oh}x{ow} for input {h}x{w_in}")
 
-    out, win = _correlate(x.data, w.data, stride, pad)
-    data = out + b.data[None, :, None, None]
-
-    def backward(g):
-        _accum(b, g.sum(axis=(0, 2, 3)))
-        _accum(w, np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
-        _accum(x, _scatter(g, w.data, stride, pad, (h, w_in)))
-
-    return _make(data, (x, w, b), backward)
+    # bias and weight VJPs run first, so their temporaries are freed before
+    # the input gradient is allocated; input first took about twice the page
+    # faults per training step
+    win = _windows(x.data, (kh, kw), stride, pad)
+    return _make(_correlate(win, w.data) + b.data[None, :, None, None],
+                 (b, lambda g: g.sum(axis=(0, 2, 3))),
+                 (w, lambda g: np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))),
+                 (x, lambda g: _scatter(g, w.data, stride, pad, (h, w_in))))
 
 
 def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -549,15 +445,13 @@ def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int
     if oh < 1 or ow < 1:
         raise ContractViolation(f"conv2d_transposed: empty output {oh}x{ow}")
 
+    def g_windows(g):  # [B,Co,H,W,kh,kw]
+        return _windows(g, (kh, kw), stride, pad)
+
     data = _scatter(x.data, w.data, stride, pad, (oh, ow)) + b.data[None, :, None, None]
-
-    def backward(g):
-        _accum(b, g.sum(axis=(0, 2, 3)))
-        gx, gwin = _correlate(g, w.data, stride, pad)  # gwin [B,Co,H,W,kh,kw]
-        _accum(w, np.tensordot(x.data, gwin, axes=([0, 2, 3], [0, 2, 3])))
-        _accum(x, gx)
-
-    return _make(data, (x, w, b), backward)
+    return _make(data, (b, lambda g: g.sum(axis=(0, 2, 3))),
+                 (w, lambda g: np.tensordot(x.data, g_windows(g), axes=([0, 2, 3], [0, 2, 3]))),
+                 (x, lambda g: _correlate(g_windows(g), w.data)))
 
 
 def causal_mask(kernel: int) -> np.ndarray:

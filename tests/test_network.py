@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nlic import tensor as T
-from nlic.entropy import SCALE_FLOOR
+from nlic.entropy import SCALE_FLOOR, FactorizedPrior
 from nlic.errors import ConfigError, ContractViolation
 from nlic.network import (
     AttentionBlock,
@@ -287,6 +287,14 @@ class TestInit:
         assert no_ctx < base
         assert all(k.startswith(("ga.attn", "gs.attn")) for k in base - no_attn)
         assert all(k.startswith("ctx_x") for k in base - no_ctx)
+
+    def test_prior_matches_factorized_prior_init(self, small_config):
+        params = init_weights(small_config, seed=3).params
+        prior = FactorizedPrior.init(small_config.filters_n)
+        for kind, layers in (("h", prior.h_layers), ("b", prior.b_layers),
+                             ("a", prior.a_layers)):
+            for i, layer in enumerate(layers):
+                assert np.array_equal(params[f"prior.{kind}{i}"].data, layer)
 
     def test_shared_keys_get_identical_values(self):
         full = init_weights(ModelConfig(filters_n=8), 5)

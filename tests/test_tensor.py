@@ -356,7 +356,7 @@ class TestElementwise:
 
     @pytest.mark.parametrize("op", ["add", "mul", "sub", "div", "leaky_relu", "sigmoid",
                                     "exp", "softplus", "log", "square", "tanh",
-                                    "normal_cdf"])
+                                    "normal_cdf", "mean", "clamp_min"])
     def test_gradients_each_op(self, rng, op, kink_guard):
         x = rng.normal(size=(2, 3, 4, 4))
         y = rng.normal(size=(2, 3, 4, 4))
@@ -370,7 +370,10 @@ class TestElementwise:
                 return T.reduce_sum(T.square(binary[op](a, b2)))
             check_grads(fn, [x, y], kink_guard)
         else:
-            unary = getattr(T, op)
+            # a positive bound: the square's gradient at a clamped element is
+            # positive, so the one-sided rule blocks it, as the finite
+            # difference does
+            unary = (lambda a: T.clamp_min(a, 0.1)) if op == "clamp_min" else getattr(T, op)
 
             def fn(a):
                 return T.reduce_sum(T.square(unary(a)))
@@ -454,11 +457,11 @@ class TestShapeOps:
 
     def test_reduce_sum_axis(self, rng, kink_guard):
         x = rng.normal(size=(2, 3, 4))
+        for keepdims in (True, False):
+            def fn(a):
+                return T.reduce_sum(T.square(T.reduce_sum(a, axis=1, keepdims=keepdims)))
 
-        def fn(a):
-            return T.reduce_sum(T.square(T.reduce_sum(a, axis=1, keepdims=True)))
-
-        check_grads(fn, [x], kink_guard)
+            check_grads(fn, [x], kink_guard)
 
 
 class TestBackward:
@@ -514,6 +517,65 @@ class TestBackward:
         w.grad = None
         T.reduce_sum(T.mul(w, 3.0)).backward()
         np.testing.assert_array_equal(w.grad, 3.0)
+
+
+# op, input shapes, and which inputs must stay positive (denominators)
+MIXED_OPS = {
+    "add": (T.add, [(2, 3, 4, 4), (1, 3, 1, 1)], ()),
+    "sub": (T.sub, [(2, 3, 4, 4), (1, 3, 1, 1)], ()),
+    "mul": (T.mul, [(2, 3, 4, 4), (1, 3, 1, 1)], ()),
+    "div": (T.div, [(2, 3, 4, 4), (1, 3, 1, 1)], (1,)),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(1, 2, 3, 3), (1, 4, 3, 3)], ()),
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, 2, 1),
+               [(2, 3, 7, 7), (4, 3, 3, 3), (4,)], ()),
+    "conv2d_transposed": (lambda x, w, b: T.conv2d_transposed(x, w, b, 2, 1),
+                          [(2, 3, 4, 4), (3, 4, 4, 4), (4,)], ()),
+    "masked_conv2d": (lambda x, w, b: T.masked_conv2d(x, w, b, 5),
+                      [(2, 3, 6, 6), (4, 3, 5, 5), (4,)], ()),
+}
+
+
+class TestConstantInputs:
+    """An input that needs no grad is not recorded, so backward computes no
+    gradient for it and gives the other inputs the same gradients."""
+
+    @pytest.mark.parametrize("op,const", [(op, i) for op, (_, shapes, _) in MIXED_OPS.items()
+                                          for i in range(len(shapes))])
+    def test_mixed_requires_grad(self, rng, op, const):
+        fn, shapes, positive = MIXED_OPS[op]
+        arrays = [rng.normal(size=s) for s in shapes]
+        for i in positive:
+            arrays[i] = np.abs(arrays[i]) + 0.5
+
+        def grads(const_index):
+            ts = [T.Tensor(a, requires_grad=i != const_index) for i, a in enumerate(arrays)]
+            T.reduce_sum(T.square(fn(*ts))).backward()
+            return [t.grad for t in ts]
+
+        full, mixed = grads(None), grads(const)
+        assert mixed[const] is None
+        for i, (g_full, g_mixed) in enumerate(zip(full, mixed)):
+            if i != const:
+                np.testing.assert_array_equal(g_mixed, g_full)
+
+    def test_no_input_gradient_for_constant_image(self, rng, monkeypatch):
+        calls = []
+        scatter = T._scatter
+
+        def counting_scatter(*args):
+            calls.append(args)
+            return scatter(*args)
+
+        monkeypatch.setattr(T, "_scatter", counting_scatter)
+        w = T.Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = T.Tensor(np.zeros(4))
+        for x_requires_grad, expected in ((False, 0), (True, 1)):
+            calls.clear()
+            x = T.Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=x_requires_grad)
+            T.reduce_sum(T.square(T.conv2d(x, w, b, 1, 1))).backward()
+            assert len(calls) == expected
+            assert w.grad is not None
+            w.grad = None
 
 
 class TestNoGrad:
