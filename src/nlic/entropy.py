@@ -4,8 +4,8 @@ Everything the coder consumes lives here: bin-integrated Gaussian-mixture
 probabilities with tail absorption, the learnable per-channel factorized
 prior for the hyper-latent, the train/inference quantizers, parameter
 determinization onto fixed lattices, and floor+repair fixed-point CDF
-construction. All functions are pure over immutable inputs and safe to call
-concurrently.
+construction. All public functions are pure over immutable inputs and safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ class SymbolGrid:
     def __post_init__(self):
         if self.lo >= self.hi:
             raise ContractViolation(f"grid lo {self.lo} must be < hi {self.hi}")
-        if self.step_norm <= 0:
-            raise ContractViolation("grid step_norm must be positive")
+        if not 0 < self.step_norm < np.inf:
+            raise ContractViolation(f"grid step_norm {self.step_norm} must be finite and positive")
+        if not np.isfinite(self.lo_value):
+            raise ContractViolation(f"grid lo_value {self.lo_value} must be finite")
 
     @property
     def n_symbols(self) -> int:
@@ -123,17 +125,21 @@ def _edge_tables(grid: SymbolGrid):
 def _bin_masses(cdf: np.ndarray) -> np.ndarray:
     """Bin masses [..., n] from cumulative rows [..., n+1] at a grid's edges.
 
-    The first and last edges of cdf are set to 0 and 1 in place, so the end
-    bins absorb the tails. The differences of all rows are taken in one 1-D
-    subtraction; the difference across each row boundary lands in a last
-    column that the returned view drops.
+    Overwrites cdf, which must be C-contiguous, and returns a view of it.
+    The first and last edges are set to 0 and 1, so the end bins absorb the
+    tails. The differences of all rows are taken in one 1-D subtraction on
+    cdf's own flat view; numpy gives overlapping operands the values of the
+    out-of-place result. The difference across each row boundary lands in
+    the last column, which the returned view drops. Raises ContractViolation
+    for a cdf that is not C-contiguous, whose flat view would be a copy.
     """
+    if not cdf.flags.c_contiguous:
+        raise ContractViolation("bin masses need a C-contiguous cdf table")
     cdf[..., 0] = 0.0
     cdf[..., -1] = 1.0
     flat = cdf.reshape(-1)
-    masses = np.empty(cdf.shape)  # C order, so its flat view is not a copy
-    np.subtract(flat[1:], flat[:-1], out=masses.reshape(-1)[:-1])
-    return masses[..., :-1]
+    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+    return cdf[..., :-1]
 
 
 def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
@@ -177,12 +183,19 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         cdf = steps[b]
         # edge column of each live edge, then its flat position in cdf
         col = np.arange(total) + np.repeat(a - (np.cumsum(live) - live), live)
-        z = (edges[col] - np.repeat(mu_f, live)) / np.repeat(sd_f, live)
+        z = edges[col]
+        z -= np.repeat(mu_f, live)
+        z /= np.repeat(sd_f, live)
         col += np.repeat(np.arange(0, cdf.size, edges.size), live)
-        cdf.reshape(-1)[col] = ndtr(z)
+        cdf.reshape(-1)[col] = ndtr(z, out=z)
         cdf = cdf.reshape(mu.shape + edges.shape)
     else:
-        cdf = ndtr((edges - mu[..., None]) / sd[..., None])
+        # one buffer holds z, then ndtr(z), then the bin masses; C order
+        # whatever the parameters' layout, as _bin_masses needs
+        cdf = np.empty(mu.shape + edges.shape)
+        np.subtract(edges, mu[..., None], out=cdf)
+        np.divide(cdf, sd[..., None], out=cdf)
+        ndtr(cdf, out=cdf)
     return np.einsum("...k,...ks->...s", w, _bin_masses(cdf))
 
 
@@ -267,8 +280,14 @@ class QuantizeResult:
 
 
 def round_quantize(values, grid: SymbolGrid) -> QuantizeResult:
-    """Round half away from zero, then clamp into the grid (counted)."""
+    """Round half away from zero, then clamp into the grid (counted).
+
+    Infinities clamp to the grid ends; NaN raises ContractViolation.
+    """
     arr = np.asarray(values, dtype=np.float64)
+    n_nan = int(np.count_nonzero(np.isnan(arr)))
+    if n_nan:
+        raise ContractViolation(f"cannot quantize {n_nan} NaN values")
     rounded = np.copysign(np.floor(np.abs(arr) + 0.5), arr)
     clamped = np.clip(rounded, grid.lo, grid.hi)
     clamp_count = int(np.count_nonzero(rounded != clamped))
@@ -424,6 +443,9 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
 
 
 def cdf_bits(cdf: np.ndarray, symbol_index: int) -> float:
-    """Ideal codelength of one symbol under a quantized CDF table."""
+    """Ideal codelength of one symbol under a quantized CDF table. Raises
+    ContractViolation for a symbol outside [0, len(cdf) - 2]."""
+    if not 0 <= symbol_index < len(cdf) - 1:
+        raise ContractViolation(f"symbol {symbol_index} outside CDF support of {len(cdf) - 1}")
     span = int(cdf[symbol_index + 1]) - int(cdf[symbol_index])
     return float(CDF_PRECISION - np.log2(span))

@@ -3,6 +3,7 @@ quantizers, determinization lattices."""
 
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -85,6 +86,20 @@ def ulp_neighbours(x, steps=2):
             y = float(np.nextafter(y, direction))
             out.append(y)
     return out
+
+
+@pytest.fixture
+def ndtr_shapes(monkeypatch):
+    """The shape of z in each ndtr call gmm_pmf_table makes, which tells
+    which branch ran."""
+    shapes = []
+
+    def recording_ndtr(z, *args, **kwargs):
+        shapes.append(np.shape(z))
+        return ndtr(z, *args, **kwargs)
+
+    monkeypatch.setattr(E, "ndtr", recording_ndtr)
+    return shapes
 
 
 @st.composite
@@ -182,23 +197,16 @@ class TestGmmPmfTableOracle:
         self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, tiny), grid)
 
     @GRIDS
-    def test_each_branch(self, grid, monkeypatch, rng):
-        shapes = []
-
-        def recording_ndtr(z, *args, **kwargs):
-            shapes.append(np.shape(z))
-            return ndtr(z, *args, **kwargs)
-
-        monkeypatch.setattr(E, "ndtr", recording_ndtr)
+    def test_each_branch(self, grid, ndtr_shapes, rng):
         w, mu, sd = random_gmm_params(rng, (16, 3), 3, grid)
         n_edges = grid.n_symbols + 1
         few_wide = np.where(rng.random(sd.shape) < 0.2, grid.span, E.SCALE_FLOOR)
         many_wide = np.where(rng.random(sd.shape) < 0.8, grid.span, E.SCALE_FLOOR)
         for scales, gathered in ((np.full_like(sd, E.SCALE_FLOOR), True), (few_wide, True),
                                  (many_wide, False), (np.full_like(sd, grid.span), False)):
-            shapes.clear()
+            ndtr_shapes.clear()
             self.assert_same(w, mu, scales, grid)
-            (shape,) = shapes
+            (shape,) = ndtr_shapes
             if gathered:
                 assert len(shape) == 1 and 2 * shape[0] < mu.size * n_edges
             else:
@@ -225,6 +233,50 @@ class TestGmmPmfTableOracle:
     @given(mixture_batches())
     def test_random_batches(self, batch):
         self.assert_same(*batch)
+
+
+class TestTableBuffers:
+    """gmm_pmf_table holds one table-sized buffer per call, and _bin_masses
+    takes the differences in that buffer."""
+
+    @pytest.mark.parametrize("gathered", [False, True], ids=["dense", "gathered"])
+    def test_one_table_buffer_per_call(self, gathered, ndtr_shapes, rng):
+        grid = E.LATENT_GRID
+        w, mu, sd = random_gmm_params(rng, (6, 32), 3, grid)  # a latent wavefront batch
+        sd[:] = E.SCALE_FLOOR if gathered else grid.span
+        E.gmm_pmf_table(w, mu, sd, grid)  # fills the edge-table cache
+        ndtr_shapes.clear()
+        tracemalloc.start()
+        try:
+            pmf = E.gmm_pmf_table(w, mu, sd, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (shape,) = ndtr_shapes
+        assert (len(shape) == 1) == gathered
+        table = mu.size * (grid.n_symbols + 1) * 8  # one [6, 32, 3, 256] float64 table
+        assert peak <= pmf.nbytes + 1.25 * table
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 9), (2, 3, 256)])
+    def test_bin_masses_match_diff(self, shape, rng):
+        cdf = rng.random(shape)
+        ends = cdf.copy()
+        ends[..., 0] = 0.0
+        ends[..., -1] = 1.0
+        masses = E._bin_masses(cdf)
+        np.testing.assert_array_equal(masses, np.diff(ends, axis=-1))
+        assert np.shares_memory(masses, cdf)
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_bin_masses_rejects_strided_cdf(self, layout, rng):
+        if layout == "fortran":
+            cdf = np.asfortranarray(rng.random((3, 4, 9)))
+        else:
+            cdf = rng.random((3, 9, 4)).transpose(0, 2, 1)
+        before = cdf.copy()
+        with pytest.raises(ContractViolation, match="C-contiguous"):
+            E._bin_masses(cdf)
+        np.testing.assert_array_equal(cdf, before)
 
 
 class TestNdtrSaturation:
@@ -363,6 +415,15 @@ class TestQuantizers:
         expected = int(((rounded < -127) | (rounded > 127)).sum())
         assert res.clamp_count == expected
         assert res.symbols.min() >= -127 and res.symbols.max() <= 127
+
+    def test_nan_rejected(self):
+        with pytest.raises(ContractViolation, match="2 NaN"):
+            E.round_quantize(np.array([np.nan, 3.2, np.nan]), E.PIXEL_GRID)
+
+    def test_infinities_clamp_to_grid_ends(self):
+        res = E.round_quantize(np.array([-np.inf, 3.2, np.inf]), E.PIXEL_GRID)
+        np.testing.assert_array_equal(res.symbols, [0, 3, 255])
+        assert res.clamp_count == 2
 
 
 class TestDeterminize:
@@ -551,6 +612,15 @@ class TestBuildCdf:
         w, mu, sd = random_gmm_params(rng, (), 3, E.LATENT_GRID)
         pmf = E.gmm_pmf_table(w, mu, sd, E.LATENT_GRID)
         np.testing.assert_array_equal(E.build_cdf(pmf), E.build_cdf(pmf.copy()))
+
+    def test_cdf_bits_at_support_ends(self):
+        cdf = E.build_cdf(np.full(4, 0.25))
+        assert E.cdf_bits(cdf, 0) == E.cdf_bits(cdf, 3) == 2.0
+
+    @pytest.mark.parametrize("symbol", [-1, 4], ids=["below", "above"])
+    def test_cdf_bits_symbol_outside_support(self, symbol):
+        with pytest.raises(ContractViolation, match="outside"):
+            E.cdf_bits(E.build_cdf(np.full(4, 0.25)), symbol)
 
 
 def _build_cdf_loop(pmf):
@@ -743,3 +813,10 @@ class TestSymbolGrid:
     def test_invalid_grid(self):
         with pytest.raises(ContractViolation):
             E.SymbolGrid(lo=5, hi=5, step_norm=1.0, lo_value=0.0)
+
+    @pytest.mark.parametrize("step_norm, lo_value", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (0.0, 0.0), (1.0, float("nan")),
+        (1.0, float("-inf"))], ids=["nan-step", "inf-step", "zero-step", "nan-lo", "inf-lo"])
+    def test_non_finite_grid_rejected(self, step_norm, lo_value):
+        with pytest.raises(ContractViolation, match="finite"):
+            E.SymbolGrid(lo=0, hi=255, step_norm=step_norm, lo_value=lo_value)
