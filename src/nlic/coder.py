@@ -38,7 +38,10 @@ _MASK32 = 0xFFFFFFFF
 
 MAGIC = b"NLIC"
 FORMAT_VERSION = 1
-HEADER_SIZE = 4 + 2 + 4 * 4 + 32 + 32 + 3 * 4  # 98 bytes before segments
+# the 98 bytes before the segments: magic, version, the ContainerHeader
+# fields in their declared order, then len_z, len_y, len_x
+_HEADER = struct.Struct("<4sH4I32s32s3I")
+HEADER_SIZE = _HEADER.size
 
 
 class RangeEncoder:
@@ -156,14 +159,9 @@ def write_container(header: ContainerHeader, seg_z: bytes, seg_y: bytes,
                     seg_x: bytes) -> bytes:
     if len(header.config_hash) != 32 or len(header.weight_hash) != 32:
         raise ContractViolation("hashes must be 32 bytes")
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<H", FORMAT_VERSION)
-    buf += struct.pack("<4I", header.width, header.height,
-                       header.padded_w, header.padded_h)
-    buf += header.config_hash
-    buf += header.weight_hash
-    buf += struct.pack("<3I", len(seg_z), len(seg_y), len(seg_x))
+    buf = bytearray(_HEADER.pack(MAGIC, FORMAT_VERSION, header.width, header.height,
+                                 header.padded_w, header.padded_h, header.config_hash,
+                                 header.weight_hash, len(seg_z), len(seg_y), len(seg_x)))
     buf += seg_z
     buf += seg_y
     buf += seg_x
@@ -175,14 +173,13 @@ def read_container(data: bytes):
     """Parse and validate a container; returns (header, seg_z, seg_y, seg_x)."""
     if len(data) < HEADER_SIZE + 4:
         raise TruncationError(f"container of {len(data)} bytes is too short")
-    if data[:4] != MAGIC:
-        raise IntegrityError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<H", data, 4)
+    magic, version, *fields, len_z, len_y, len_x = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise IntegrityError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported container version {version}")
     # lengths before the CRC: a cut-off container must read as truncated,
     # not as corrupt
-    len_z, len_y, len_x = struct.unpack_from("<3I", data, 86)
     declared = HEADER_SIZE + len_z + len_y + len_x + 4
     if declared != len(data):
         error = TruncationError if declared > len(data) else IntegrityError
@@ -192,16 +189,10 @@ def read_container(data: bytes):
     if stored_crc != actual_crc:
         raise IntegrityError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
-    width, height, padded_w, padded_h = struct.unpack_from("<4I", data, 6)
-    config_hash = data[22:54]
-    weight_hash = data[54:86]
     off = HEADER_SIZE
     seg_z = data[off:off + len_z]
     off += len_z
     seg_y = data[off:off + len_y]
     off += len_y
     seg_x = data[off:off + len_x]
-    header = ContainerHeader(width=width, height=height, padded_w=padded_w,
-                             padded_h=padded_h, config_hash=config_hash,
-                             weight_hash=weight_hash)
-    return header, seg_z, seg_y, seg_x
+    return ContainerHeader(*fields), seg_z, seg_y, seg_x

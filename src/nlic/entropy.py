@@ -308,36 +308,42 @@ def _scale_lattice_round(scales: np.ndarray, grid: SymbolGrid) -> np.ndarray:
     return lo * (hi / lo) ** (idx / (SCALE_LEVELS - 1))
 
 
-def _weights_largest_remainder(weights: np.ndarray, axis: int) -> np.ndarray:
-    """Round mixture weights to counts summing exactly to WEIGHT_LATTICE.
+def _weights_largest_remainder(weights: np.ndarray) -> np.ndarray:
+    """Round mixture weights [..., K] to counts summing exactly to
+    WEIGHT_LATTICE (under determinize's precondition).
 
     The deficit D = WEIGHT_LATTICE - sum(floor(w * WEIGHT_LATTICE)) goes, one
     unit each, to the D components with the largest remainders, ties to the
     lowest mixture index.
     """
-    w = np.swapaxes(weights, axis, -1)
-    scaled = w * WEIGHT_LATTICE
+    scaled = weights * WEIGHT_LATTICE
     base = np.floor(scaled)
     rem = scaled - base
     # a stable sort keeps tied remainders in index order
     ranks = np.argsort(np.argsort(-rem, axis=-1, kind="stable"), axis=-1)
     base += ranks < WEIGHT_LATTICE - base.sum(axis=-1, keepdims=True)
     base /= WEIGHT_LATTICE
-    return np.swapaxes(base, -1, axis)
+    return base
 
 
-def determinize(weights, means, scales, grid: SymbolGrid, k_axis: int = -1):
-    """Round GMM parameters onto fixed lattices so encoder and decoder build
-    identical CDF tables from independently computed float params.
+def determinize(weights, means, scales, grid: SymbolGrid):
+    """Round GMM parameters [..., K] onto fixed lattices so encoder and
+    decoder build identical CDF tables from independently computed float
+    params.
 
-    weights are renormalized by largest remainder on a 1/4096 grid (they
-    still sum exactly to one), means snap to 1/1024 of a symbol step, scales
-    to a 256-level geometric ladder between the scale floor and the grid
-    span. Idempotent. The weight units left after flooring go to the
-    components with the largest remainders, ties to the lowest mixture
-    index along k_axis.
+    weights are renormalized by largest remainder on a 1/4096 grid, means
+    snap to 1/1024 of a symbol step, scales to a 256-level geometric ladder
+    between the scale floor and the grid span. Idempotent. The weight units
+    left after flooring go to the components with the largest remainders,
+    ties to the lowest mixture index.
+
+    The weights come back summing exactly to one only when each input row
+    already sums to one within K/4096 (precisely: when its floored counts
+    total between 4096 - K and 4096), as softmax rows do. Other rows are
+    not renormalized: an all-zero K=3 row comes back summing to 3/4096, and
+    a row of 0.9s to 2.6997.
     """
-    w = _weights_largest_remainder(np.asarray(weights, dtype=np.float64), k_axis)
+    w = _weights_largest_remainder(np.asarray(weights, dtype=np.float64))
     mean_step = grid.step_norm / MEAN_LATTICE
     m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
     s = _scale_lattice_round(np.asarray(scales, dtype=np.float64), grid)
@@ -356,9 +362,9 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     bins: each gets 1, taken one unit at a time from the currently largest
     bin, ties to the lowest symbol index. Returns cum[0..n] as uint32 with
     cum[0] = 0, cum[n] = 2^16; every symbol keeps probability >= 1/2^16.
-    A pmf whose floored total is NaN or outside [0, 2^16], or whose
-    floored cumulative decreases anywhere (a negative entry), raises
-    ContractViolation.
+    An empty pmf, a pmf whose floored total is NaN or outside [0, 2^16],
+    and one whose floored cumulative decreases anywhere (a negative entry)
+    raise ContractViolation.
 
     The steals are computed in closed form. A donor never falls below 1, so
     a repaired bin (count 1) is never chosen again and only the originally
@@ -381,6 +387,8 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(pmf, dtype=np.float64).ravel()
     n = p.size
+    if n == 0:
+        raise ContractViolation("pmf has no symbols")
     if n > CDF_TOTAL // 2:
         raise PrecisionError(
             f"support size {n} exceeds {CDF_TOTAL // 2}; cannot give every symbol mass")

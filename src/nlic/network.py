@@ -108,7 +108,9 @@ def config_hash(config: ModelConfig) -> bytes:
 
 @dataclass
 class GmmParams:
-    """Per-symbol mixture parameters, each shaped [B, K, C, h, w].
+    """Per-symbol mixture parameters, each shaped [B, h, w, C, K] and
+    C-contiguous, so the [L, C, K] rows at a batch of locations are the
+    input `entropy.determinize` and `entropy.gmm_pmf_table` take.
 
     weights are post-softmax (sum to one over K); scales carry the floor.
     Payloads are always Tensors; coding computes them under `no_grad` and
@@ -389,18 +391,15 @@ class Model:
         else:
             ctx = ctx_conv(ctx_input)
         raw = head2(T.leaky_relu(head1(T.concat([features, ctx], axis=1))))
-        k = self.config.mixtures_k
-        ck = coded_channels * k
         b, _, h, w = raw.shape
-
-        def to_bkc(t):
-            return T.transpose(T.reshape(t, (b, coded_channels, k, h, w)),
-                               (0, 2, 1, 3, 4))
-
-        return GmmParams(
-            to_bkc(T.softmax_channel_groups(T.narrow(raw, 1, 0, ck), k)),
-            to_bkc(T.narrow(raw, 1, ck, ck)),
-            to_bkc(T.add(T.softplus(T.narrow(raw, 1, 2 * ck, ck)), SCALE_FLOOR)))
+        # head channels run over (weights, means, scales), then C, then K:
+        # one transpose puts the three in front and C, K last
+        p = T.transpose(T.reshape(raw, (b, 3, coded_channels, self.config.mixtures_k, h, w)),
+                        (1, 0, 4, 5, 2, 3))
+        logits, means, raw_scales = (T.reshape(T.narrow(p, 0, i, 1), p.shape[1:])
+                                     for i in range(3))
+        return GmmParams(T.softmax(logits), means,
+                         T.add(T.softplus(raw_scales), SCALE_FLOOR))
 
     # -- factorized prior ----------------------------------------------------
 

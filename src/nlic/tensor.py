@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Covers exactly the operator set the codec networks need: 2-D (transposed,
-masked) convolutions, a handful of elementwise nonlinearities, grouped
-channel softmax, reductions and shape plumbing. A dynamic graph is recorded
+masked) convolutions, a handful of elementwise nonlinearities, a
+last-axis softmax, reductions and shape plumbing. A dynamic graph is recorded
 per forward pass; ``backward()`` on a scalar loss walks it once in reverse
 topological order and then releases it, so a second backward without a new
 forward raises.
@@ -330,29 +330,14 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(np.ascontiguousarray(t.data[idx]), (t, vjp))
 
 
-def softmax_channel_groups(t: Tensor, groups: int) -> Tensor:
-    """Softmax over groups of `groups` consecutive channels of a 4-D tensor.
-
-    Channel count must divide by `groups`; within each group of K channels
-    the outputs are positive and sum to one at every spatial location.
-    """
+def softmax(t: Tensor) -> Tensor:
+    """Softmax over the last axis: the outputs along it are positive and
+    sum to one."""
     t = _as_tensor(t)
-    if t.data.ndim != 4:
-        raise ContractViolation(f"softmax_channel_groups: need 4-D input, got {t.data.ndim}-D")
-    b, c, h, w = t.data.shape
-    if c % groups != 0:
-        raise ConfigError(f"channel count {c} not divisible by {groups} groups")
-    x = t.data.reshape(b, c // groups, groups, h, w)
-    x = x - x.max(axis=2, keepdims=True)  # shift-invariant, keeps exp bounded
-    e = np.exp(x)
-    y = e / e.sum(axis=2, keepdims=True)
-
-    def vjp(g):
-        gg = g.reshape(b, c // groups, groups, h, w)
-        dot = (gg * y).sum(axis=2, keepdims=True)
-        return (y * (gg - dot)).reshape(b, c, h, w)
-
-    return _make(y.reshape(b, c, h, w), (t, vjp))
+    # shift-invariant, keeps exp bounded
+    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _make(y, (t, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))))
 
 
 # ---------------------------------------------------------------------------

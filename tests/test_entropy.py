@@ -216,7 +216,8 @@ class TestGmmPmfTableOracle:
     @pytest.mark.parametrize("scale", ["floor", "mixed", "span"])
     @pytest.mark.parametrize("layout", ["moveaxis", "fortran"])
     def test_non_contiguous_params(self, grid, scale, layout, rng):
-        # model heads give [B, K, C, H, W]; moving K last leaves strided views
+        # strided parameters are still a contract: the tables must not
+        # depend on the memory layout, so store K on axis 1 and move it last
         w, mu, sd = (np.ascontiguousarray(np.moveaxis(a, -1, 1))
                      for a in random_gmm_params(rng, (2, 3, 4, 5), 3, grid))
         if scale != "mixed":
@@ -468,11 +469,11 @@ class TestDeterminize:
         assert np.mean(excesses) < 0.02
 
 
-def _determinize_ref(weights, means, scales, grid, k_axis=-1):
+def _determinize_ref(weights, means, scales, grid):
     """Reference determinize: the largest-remainder weights ranked by
     lexsort on (-remainder, k) and an argsort of that order, clip and round
     for the means and scales."""
-    w = np.moveaxis(np.asarray(weights, dtype=np.float64), k_axis, -1)
+    w = np.asarray(weights, dtype=np.float64)
     shape = w.shape
     scaled = w.reshape(-1, shape[-1]) * E.WEIGHT_LATTICE
     base = np.floor(scaled)
@@ -481,7 +482,7 @@ def _determinize_ref(weights, means, scales, grid, k_axis=-1):
     order = np.lexsort((np.broadcast_to(np.arange(shape[-1]), rem.shape), -rem), axis=1)
     ranks = np.argsort(order, axis=1)
     counts = base + (ranks < deficit[:, None])
-    w = np.moveaxis((counts / E.WEIGHT_LATTICE).reshape(shape), -1, k_axis)
+    w = (counts / E.WEIGHT_LATTICE).reshape(shape)
     mean_step = grid.step_norm / E.MEAN_LATTICE
     m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
     lo, hi = E.SCALE_FLOOR, grid.span
@@ -500,13 +501,12 @@ def tied_weights(rng, shape, k):
 
 @st.composite
 def determinize_batches(draw):
-    """(w, mu, sd, grid, k_axis) with [L, C, K] parameters moved so that K
-    sits on k_axis. Weights are dirichlet rows, unnormalized draws, or rows
-    with tied remainders; means and scales span and exceed the grid."""
+    """(w, mu, sd, grid) with [L, C, K] parameters. Weights are dirichlet
+    rows, unnormalized draws, or rows with tied remainders; means and
+    scales span and exceed the grid."""
     grid = draw(st.sampled_from([E.PIXEL_GRID, E.LATENT_GRID]))
     k = draw(st.integers(1, 4))
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)), k)
-    k_axis = draw(st.sampled_from([0, 1, 2, -1]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["dirichlet", "free", "tied"]))
     if kind == "dirichlet":
@@ -517,29 +517,32 @@ def determinize_batches(draw):
         w = tied_weights(rng, shape[:-1], k)
     mu = rng.uniform(-2 * grid.span, 2 * grid.span, size=shape)
     sd = np.exp(rng.uniform(np.log(E.SCALE_FLOOR / 10), np.log(10 * grid.span), size=shape))
-    return (*(np.moveaxis(a, -1, k_axis) for a in (w, mu, sd)), grid, k_axis)
+    return w, mu, sd, grid
 
 
 class TestDeterminizeReference:
     """determinize against _determinize_ref, bit for bit."""
 
     @staticmethod
-    def assert_same(w, mu, sd, grid, k_axis):
-        got = E.determinize(w, mu, sd, grid, k_axis=k_axis)
-        for a, b in zip(got, _determinize_ref(w, mu, sd, grid, k_axis), strict=True):
+    def assert_same(w, mu, sd, grid):
+        got = E.determinize(w, mu, sd, grid)
+        for a, b in zip(got, _determinize_ref(w, mu, sd, grid), strict=True):
             np.testing.assert_array_equal(a, b)
 
     @GRIDS
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("k_axis", [0, 1, -1])
+    @pytest.mark.parametrize("stored_axis", [0, 1, -1])
     @pytest.mark.parametrize("weights", ["dirichlet", "tied"])
-    def test_components_and_axes(self, grid, k, k_axis, weights, rng):
+    def test_components_and_axes(self, grid, k, stored_axis, weights, rng):
+        # K is stored on stored_axis and handed over last, so for axes 0
+        # and 1 determinize sees strided views
         for _ in range(4):
             w, mu, sd = random_gmm_params(rng, (5, 4), k, grid)
             if weights == "tied":
                 w = tied_weights(rng, (5, 4), k)
-            w, mu, sd = (np.moveaxis(a, -1, k_axis) for a in (w, mu, sd))
-            self.assert_same(w, mu, sd, grid, k_axis)
+            w, mu, sd = (np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, stored_axis)),
+                                     stored_axis, -1) for a in (w, mu, sd))
+            self.assert_same(w, mu, sd, grid)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_all_remainders_tied(self, k):
@@ -552,7 +555,7 @@ class TestDeterminizeReference:
             rows.append((counts + 0.5) / E.WEIGHT_LATTICE)
         w = np.array(rows)
         mu, sd = np.zeros_like(w), np.ones_like(w)
-        self.assert_same(w, mu, sd, E.LATENT_GRID, -1)
+        self.assert_same(w, mu, sd, E.LATENT_GRID)
         dw, _, _ = E.determinize(w, mu, sd, E.LATENT_GRID)
         bumps = dw * E.WEIGHT_LATTICE - np.floor(w * E.WEIGHT_LATTICE)
         np.testing.assert_array_equal(bumps, np.arange(k) < np.arange(k + 1)[:, None])
@@ -590,6 +593,13 @@ class TestBuildCdf:
     def test_support_too_large(self):
         with pytest.raises(PrecisionError):
             E.build_cdf(np.full(40000, 1.0 / 40000.0))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_pmf_rejected(self, shape):
+        # a caller fault: no table may come back, or the decoder would read
+        # the stream under it and blame the data
+        with pytest.raises(ContractViolation, match="no symbols"):
+            E.build_cdf(np.zeros(shape))
 
     @pytest.mark.parametrize("pmf", [[0.5, np.nan, 0.5], [0.6] * 3, [-0.5, 0.25]],
                              ids=["nan", "above-one", "negative"])

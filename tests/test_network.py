@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nlic import entropy as E
 from nlic import tensor as T
 from nlic.entropy import SCALE_FLOOR, FactorizedPrior
 from nlic.errors import ConfigError, ContractViolation
@@ -145,16 +146,16 @@ class TestEntropyParams:
         hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
         y_ctx = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
         params = model.entropy_params_y(hf, y_ctx)
-        assert params.weights.shape == (1, 2, 8, 4, 4)
-        np.testing.assert_allclose(params.weights.data.sum(axis=1), 1.0, atol=1e-9)
+        assert params.weights.shape == (1, 4, 4, 8, 2)
+        np.testing.assert_allclose(params.weights.data.sum(axis=-1), 1.0, atol=1e-9)
         assert (params.scales.data >= SCALE_FLOOR).all()
 
     def test_pixel_params_shapes(self, model, rng):
         pf = T.Tensor(rng.normal(size=(1, 8, 16, 16)))
         x_ctx = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
         params = model.entropy_params_x(pf, x_ctx)
-        assert params.weights.shape == (1, 2, 3, 16, 16)
-        np.testing.assert_allclose(params.weights.data.sum(axis=1), 1.0, atol=1e-9)
+        assert params.weights.shape == (1, 16, 16, 3, 2)
+        np.testing.assert_allclose(params.weights.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_spatial_mismatch_rejected(self, model, rng):
         hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
@@ -195,9 +196,41 @@ class TestEntropyParams:
                 ctx[0, rng.integers(channels), i, j] += 1.0 + rng.random()
                 out = run(ctx)
                 for field in ("weights", "means", "scales"):
-                    a = getattr(base, field).data.reshape(1, -1, 36)
-                    b = getattr(out, field).data.reshape(1, -1, 36)
-                    assert np.array_equal(a[:, :, :p], b[:, :, :p]), f"leak at {p}"
+                    a = getattr(base, field).data.reshape(1, 36, -1)
+                    b = getattr(out, field).data.reshape(1, 36, -1)
+                    assert np.array_equal(a[:, :p], b[:, :p]), f"leak at {p}"
+
+    @pytest.mark.parametrize("path", ["y", "x"])
+    def test_wavefront_handoff(self, model, rng, path):
+        # the locations of one wavefront step, t = j + (k//2 + 1)*i for the
+        # mask-A kernel k, gathered as p.data[0, ii, jj] are the [L, C, K]
+        # batch that determinize and gmm_pmf_table take, with no moveaxis;
+        # each row equals the calls at its location alone
+        for param in model.params.values():  # spread the heads' outputs
+            param.data = param.data + rng.normal(scale=0.3, size=param.data.shape)
+        with T.no_grad():
+            if path == "y":
+                params = model.entropy_params_y(T.Tensor(rng.normal(size=(1, 16, 6, 8))),
+                                                T.Tensor(rng.normal(size=(1, 8, 6, 8))))
+                kernel, grid = 5, E.LATENT_GRID
+            else:
+                params = model.entropy_params_x(T.Tensor(rng.normal(size=(1, 8, 6, 8))),
+                                                T.Tensor(rng.normal(size=(1, 3, 6, 8))))
+                kernel, grid = model.config.mask_kernel_x, E.PIXEL_GRID
+        fields = [params.weights.data, params.means.data, params.scales.data]
+        assert all(f.flags.c_contiguous for f in fields)
+        i, j = np.indices((6, 8))
+        steps = j + (kernel // 2 + 1) * i
+        for step in range(steps.max() + 1):
+            ii, jj = np.nonzero(steps == step)
+            batch = E.determinize(*(f[0, ii, jj] for f in fields), grid)
+            tables = E.gmm_pmf_table(*batch, grid)
+            assert tables.shape == (ii.size, fields[0].shape[3], grid.n_symbols)
+            for row, loc in enumerate(zip(ii, jj)):
+                alone = E.determinize(*(f[0][loc] for f in fields), grid)
+                for got, want in zip(batch, alone, strict=True):
+                    np.testing.assert_array_equal(got[row], want)
+                np.testing.assert_array_equal(tables[row], E.gmm_pmf_table(*alone, grid))
 
     def test_no_grad_matches_recording(self, model, rng):
         hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))

@@ -402,33 +402,29 @@ class TestElementwise:
 
 
 class TestSoftmaxGroups:
+    """Softmax over each group of K entries on the last axis."""
+
     def test_uniform_logits(self):
-        x = np.zeros((1, 6, 2, 2))
-        out = T.softmax_channel_groups(T.Tensor(x), 3)
+        out = T.softmax(T.Tensor(np.zeros((1, 2, 2, 2, 3))))
         np.testing.assert_allclose(out.data, 1.0 / 3.0)
 
     def test_limit_case(self):
-        x = np.zeros((1, 3, 1, 1))
-        x[0, 2] = 50.0
-        out = T.softmax_channel_groups(T.Tensor(x), 3).data[0, :, 0, 0]
+        x = np.zeros((1, 1, 1, 3))
+        x[..., 2] = 50.0
+        out = T.softmax(T.Tensor(x)).data[0, 0, 0]
         assert out[2] > 1 - 1e-9 and out[0] < 1e-9 and out[1] < 1e-9
 
     def test_groups_sum_to_one(self, rng):
-        x = rng.normal(scale=4, size=(2, 12, 3, 3))
-        out = T.softmax_channel_groups(T.Tensor(x), 3).data
-        sums = out.reshape(2, 4, 3, 3, 3).sum(axis=2)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+        x = rng.normal(scale=4, size=(2, 3, 3, 4, 3))
+        out = T.softmax(T.Tensor(x)).data
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
         assert (out > 0).all()
 
-    def test_indivisible_channels(self):
-        with pytest.raises(ConfigError):
-            T.softmax_channel_groups(T.Tensor(np.zeros((1, 5, 1, 1))), 3)
-
     def test_gradients(self, rng, kink_guard):
-        x = rng.normal(size=(1, 6, 2, 2))
+        x = rng.normal(size=(1, 2, 2, 2, 3))
 
         def fn(a):
-            sm = T.softmax_channel_groups(a, 3)
+            sm = T.softmax(a)
             return T.reduce_sum(T.mul(sm, T.Tensor(np.linspace(0, 1, sm.size).reshape(sm.shape))))
 
         check_grads(fn, [x], kink_guard)
