@@ -204,28 +204,20 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def factorized_cdf(v, h_layers, b_layers, a_layers) -> T.Tensor:
-    """Cumulative of the factorized prior at values v, built from Tensor ops.
+class FactorizedPrior:
+    """Per-channel monotone cumulative over the hyper-latent, built from
+    three gated affine layers.
 
     Each layer applies softplus(h)*u + b followed by u + tanh(a)*tanh(u);
-    a final sigmoid bounds the result to (0, 1). The per-layer parameters
-    broadcast against v and may be arrays or Tensors; gradients reach them
-    when they require one and no_grad is off.
-    """
-    u = v
-    for h, b, a in zip(h_layers, b_layers, a_layers):
-        t = T.add(T.mul(T.softplus(h), u), b)
-        u = T.add(t, T.mul(T.tanh(a), T.tanh(t)))
-    return T.sigmoid(u)
+    a final sigmoid bounds the result to (0, 1). Positive slopes and
+    |tanh(a)| < 1 make the composition monotone nondecreasing with limits 0
+    and 1, so differences of adjacent evaluations are valid probabilities.
 
-
-class FactorizedPrior:
-    """Per-channel monotone cumulative built from three gated affine layers
-    (factorized_cdf).
-
-    Positive slopes and |tanh(a)| < 1 make the composition monotone
-    nondecreasing with limits 0 and 1, so differences of adjacent
-    evaluations are valid probabilities.
+    The layer parameters, each of shape [C], may be arrays or Tensors;
+    `Model.prior` holds the model's own `prior.{h,b,a}{i}` Tensors, so
+    gradients of `cdf` reach them. `cdf` is channel-last, so a rate term
+    over a hyper-latent laid out [B, C, h, w] transposes it once to
+    [B, h, w, C].
     """
 
     N_LAYERS = 3
@@ -234,11 +226,9 @@ class FactorizedPrior:
     INIT_RAW_SLOPE = float(np.log(np.expm1(0.1 ** (1 / N_LAYERS))))
 
     def __init__(self, h_layers, b_layers, a_layers):
-        # each a list of N_LAYERS arrays of shape [C]
-        self.h_layers = [np.asarray(h, dtype=np.float64) for h in h_layers]
-        self.b_layers = [np.asarray(b, dtype=np.float64) for b in b_layers]
-        self.a_layers = [np.asarray(a, dtype=np.float64) for a in a_layers]
-        self.channels = self.h_layers[0].shape[0]
+        # each a list of N_LAYERS arrays or Tensors of shape [C]
+        self.h_layers, self.b_layers, self.a_layers = map(list, (h_layers, b_layers, a_layers))
+        self.channels = np.shape(self.h_layers[0])[0]
 
     @classmethod
     def init(cls, channels: int):
@@ -247,15 +237,19 @@ class FactorizedPrior:
         a = [np.zeros(channels) for _ in range(cls.N_LAYERS)]
         return cls(h, b, a)
 
-    def cdf_values(self, v: np.ndarray) -> np.ndarray:
+    def cdf(self, v) -> T.Tensor:
         """Cumulative at values v of shape [..., C] (channel-last)."""
-        return factorized_cdf(v, self.h_layers, self.b_layers, self.a_layers).data
+        u = v
+        for h, b, a in zip(self.h_layers, self.b_layers, self.a_layers):
+            t = T.add(T.mul(T.softplus(h), u), b)
+            u = T.add(t, T.mul(T.tanh(a), T.tanh(t)))
+        return T.sigmoid(u)
 
     def pmf_table(self, grid: SymbolGrid) -> np.ndarray:
         """Per-channel pmf over the full support, tails absorbed. [C, n]"""
         edges = grid.edges()  # [n+1]
-        v = np.broadcast_to(edges[:, None], (edges.size, self.channels))
-        cdf = self.cdf_values(v)  # [n+1, C]
+        with T.no_grad():
+            cdf = self.cdf(np.broadcast_to(edges[:, None], (edges.size, self.channels))).data
         return _bin_masses(cdf.T.copy())  # [C, n+1] -> [C, n]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .entropy import SCALE_FLOOR, FactorizedPrior, factorized_cdf
+from .entropy import SCALE_FLOOR, FactorizedPrior
 from .errors import ConfigError, ContractViolation
 from .tensor import Tensor
 
@@ -42,14 +42,16 @@ class ModelConfig:
     hyper_downsample: int = 4    # additional stride of the hyper analysis
 
     def __post_init__(self):
-        if self.mixtures_k < 1:
-            raise ConfigError(f"mixtures_k must be >= 1, got {self.mixtures_k}")
-        if self.filters_n < 4:
-            raise ConfigError(f"filters_n must be >= 4, got {self.filters_n}")
+        # the upper bounds sit far above paper scale; they keep every
+        # parameter's element count within numpy's index range
+        if not 1 <= self.mixtures_k <= 64:
+            raise ConfigError(f"mixtures_k must be in [1, 64], got {self.mixtures_k}")
+        if not 4 <= self.filters_n <= 1 << 17:
+            raise ConfigError(f"filters_n must be in [4, {1 << 17}], got {self.filters_n}")
         for name in ("downsample_factor", "hyper_downsample"):
             v = getattr(self, name)
-            if v < 2 or (v & (v - 1)) != 0:
-                raise ConfigError(f"{name} must be a power of two >= 2, got {v}")
+            if not 2 <= v <= 64 or (v & (v - 1)) != 0:
+                raise ConfigError(f"{name} must be a power of two in [2, 64], got {v}")
         if self.mask_kernel_x not in (5, 7):
             raise ConfigError(f"mask_kernel_x must be 5 or 7, got {self.mask_kernel_x}")
 
@@ -151,11 +153,11 @@ class _ParamStore:
 
 class Conv2d:
     def __init__(self, store, name, cin, cout, k, stride=1, pad=None,
-                 weight_init="fan_in"):
+                 weight_init="fan_in", bias_init="zero"):
         self.stride = stride
         self.pad = k // 2 if pad is None else pad
         self.w = store.add(f"{name}.w", (cout, cin, k, k), weight_init, cin * k * k)
-        self.b = store.add(f"{name}.b", (cout,), "zero")
+        self.b = store.add(f"{name}.b", (cout,), bias_init)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.w, self.b, self.stride, self.pad)
@@ -267,16 +269,16 @@ class Model:
                       if config.use_context_x else None)
         self.head_y1 = Conv2d(store, "head_y.conv1", 3 * n, 3 * n, 1)
         self.head_y2 = Conv2d(store, "head_y.conv2", 3 * n, 3 * k * n, 1,
-                              weight_init="small")
+                              weight_init="small", bias_init="head_out")
         self.head_x1 = Conv2d(store, "head_x.conv1", 2 * n, 2 * n, 1)
         self.head_x2 = Conv2d(store, "head_x.conv2", 2 * n, 9 * k, 1,
-                              weight_init="small")
+                              weight_init="small", bias_init="head_out")
 
-        # factorized prior over the hyper-latent: three gated affine layers
-        for i in range(FactorizedPrior.N_LAYERS):
-            store.add(f"prior.h{i}", (n,), "prior_slope")
-            store.add(f"prior.b{i}", (n,), "zero")
-            store.add(f"prior.a{i}", (n,), "zero")
+        # factorized prior over the hyper-latent; its parameters are stored
+        # (and serialized) in the order h0, b0, a0, h1, ...
+        layers = [[store.add(f"prior.{kind}{i}", (n,), "prior_slope" if kind == "h" else "zero")
+                   for kind in "hba"] for i in range(FactorizedPrior.N_LAYERS)]
+        self.prior = FactorizedPrior(*zip(*layers))
 
         self.params = store.params
         self._init_specs = store.specs
@@ -299,17 +301,14 @@ class Model:
                 data = rng.uniform(-bound, bound, size=t.data.shape)
             elif kind == "prior_slope":
                 data = np.full(t.data.shape, FactorizedPrior.INIT_RAW_SLOPE)
+            elif kind == "head_out":
+                # parameter-head bias over (weights, means, scales): uniform
+                # mixture weights, zero means, unit scales
+                data = np.zeros(t.data.shape)
+                data.reshape(3, -1)[2] = np.log(np.expm1(1.0 - SCALE_FLOOR))
             else:
                 raise ContractViolation(f"unknown init kind {kind}")
             t.data = data
-        # parameter-head biases: uniform mixture weights, zero means, unit scales
-        raw_unit_scale = float(np.log(np.expm1(1.0 - SCALE_FLOOR)))
-        for head, coded_channels in ((self.head_y2, self.config.filters_n),
-                                     (self.head_x2, 3)):
-            b = np.zeros(head.b.data.shape)
-            ck = coded_channels * self.config.mixtures_k
-            b[2 * ck:3 * ck] = raw_unit_scale
-            head.b.data = b
         return self
 
     # -- state -------------------------------------------------------------
@@ -371,17 +370,16 @@ class Model:
 
     def entropy_params_y(self, hyper_features: Tensor, y_ctx_input: Tensor) -> GmmParams:
         return self._entropy_params(hyper_features, y_ctx_input, self.ctx_y,
-                                    self.head_y1, self.head_y2, self.config.filters_n)
+                                    self.head_y1, self.head_y2)
 
     def entropy_params_x(self, pixel_features: Tensor, x_ctx_input: Tensor) -> GmmParams:
         return self._entropy_params(pixel_features, x_ctx_input, self.ctx_x,
-                                    self.head_x1, self.head_x2, 3)
+                                    self.head_x1, self.head_x2)
 
-    def _entropy_params(self, features, ctx_input, ctx_conv, head1, head2,
-                        coded_channels) -> GmmParams:
+    def _entropy_params(self, features, ctx_input, ctx_conv, head1, head2) -> GmmParams:
         """Context features (zeros without a context model) joined to the
         transform features, then the two 1x1 head convs, split into the
-        mixture parameters of `coded_channels` channels."""
+        per-channel mixture parameters."""
         if ctx_conv is None:
             ctx = Tensor(np.zeros((features.shape[0], self.config.filters_n)
                                   + tuple(features.shape[2:])))
@@ -394,19 +392,12 @@ class Model:
         b, _, h, w = raw.shape
         # head channels run over (weights, means, scales), then C, then K:
         # one transpose puts the three in front and C, K last
-        p = T.transpose(T.reshape(raw, (b, 3, coded_channels, self.config.mixtures_k, h, w)),
+        p = T.transpose(T.reshape(raw, (b, 3, -1, self.config.mixtures_k, h, w)),
                         (1, 0, 4, 5, 2, 3))
         logits, means, raw_scales = (T.reshape(T.narrow(p, 0, i, 1), p.shape[1:])
                                      for i in range(3))
         return GmmParams(T.softmax(logits), means,
                          T.add(T.softplus(raw_scales), SCALE_FLOOR))
-
-    # -- factorized prior ----------------------------------------------------
-
-    def prior_cdf(self, v: Tensor) -> Tensor:
-        """Cumulative of the factorized prior at values [B, C, h, w]."""
-        return factorized_cdf(v, *([T.reshape(self.params[f"prior.{kind}{i}"], (1, -1, 1, 1))
-                                    for i in range(FactorizedPrior.N_LAYERS)] for kind in "hba"))
 
 
 def init_weights(config: ModelConfig, seed: int) -> Model:
@@ -444,9 +435,9 @@ def serialize_weights(model: Model) -> bytes:
 def deserialize_weights(blob: bytes) -> Model:
     """Inverse of serialize_weights. Raises ContractViolation for a bad
     magic, for a blob shorter or longer than the sizes it declares, for an
-    entry reaching past the data, and for keys or shapes that do not fit the
-    config (a non-UTF-8 key included); ConfigError for config text that is
-    not UTF-8 or does not parse."""
+    entry reaching past the data, for a key given twice, and for keys or
+    shapes that do not fit the config (a non-UTF-8 key included);
+    ConfigError for config text that is not UTF-8 or does not parse."""
     if blob[:4] != WEIGHTS_MAGIC:
         raise ContractViolation(f"bad weights magic {blob[:4]!r}")
     off = 4
@@ -467,22 +458,24 @@ def deserialize_weights(blob: bytes) -> Model:
     except UnicodeDecodeError as e:
         raise ConfigError(f"weights config text is not UTF-8: {e}") from None
     (n_params,) = unpack("<I")
-    entries = []
+    entries = {}
     for _ in range(n_params):
         (key_len,) = unpack("<H")
         # a non-UTF-8 key keeps its bad bytes as \xNN escapes, so it matches
         # no parameter name and load_state rejects it
         key = take(key_len).decode(errors="backslashreplace")
+        if key in entries:
+            raise ContractViolation(f"weights key {key!r} is given twice")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
         (data_off,) = unpack("<Q")
-        entries.append((key, shape, data_off))
+        entries[key] = shape, data_off
     (data_len,) = unpack("<Q")
     data = take(data_len)
     if off != len(blob):
         raise ContractViolation(f"{len(blob) - off} bytes follow the weights data")
     state = {}
-    for key, shape, data_off in entries:
+    for key, (shape, data_off) in entries.items():
         count = math.prod(shape)
         if data_off + 8 * count > data_len:
             raise ContractViolation(

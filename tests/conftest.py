@@ -1,7 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nlic import tensor as T
+
+# When a @given test fails, hypothesis imports hypothesis.extra._patching,
+# which imports libcst and through it mypy_extensions, whose TypedDict warns
+# with a DeprecationWarning. The filterwarnings setting in pyproject.toml
+# makes that warning an error inside hypothesis's pytest hook, which aborts
+# the whole session. Imported once here, with the warning ignored, the
+# module is cached and a failing property fails alone. Without libcst the
+# import fails, and hypothesis does not need the module.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

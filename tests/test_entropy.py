@@ -328,9 +328,9 @@ class TestMixtureContract:
                             E.LATENT_GRID)
 
 
-def _prior_cdf_ref(prior, v):
-    """Reference FactorizedPrior.cdf_values: the plain-numpy body it had
-    before the prior was built from Tensor ops."""
+def _prior_ref(prior, v):
+    """Reference FactorizedPrior.cdf: the plain-numpy body it had before
+    the prior was built from Tensor ops."""
     u = np.asarray(v, dtype=np.float64)
     for h, b, a in zip(prior.h_layers, prior.b_layers, prior.a_layers):
         t = np.logaddexp(0.0, h) * u + b
@@ -350,9 +350,9 @@ class TestFactorizedPrior:
             prior = E.FactorizedPrior(
                 *([rng.normal(scale=2, size=c) for _ in range(3)] for _ in "hba"))
             v = rng.normal(scale=10.0 ** rng.uniform(-1, 3), size=(int(rng.integers(1, 300)), c))
-            np.testing.assert_array_equal(prior.cdf_values(v), _prior_cdf_ref(prior, v))
+            np.testing.assert_array_equal(prior.cdf(v).data, _prior_ref(prior, v))
             edges = np.broadcast_to(E.LATENT_GRID.edges()[:, None], (256, c))
-            np.testing.assert_array_equal(prior.cdf_values(edges), _prior_cdf_ref(prior, edges))
+            np.testing.assert_array_equal(prior.cdf(edges).data, _prior_ref(prior, edges))
 
     def test_fresh_prior_is_broad(self):
         prior = E.FactorizedPrior.init(4)
@@ -377,7 +377,7 @@ class TestFactorizedPrior:
                 a_layers=[rng.normal(scale=2, size=3) for _ in range(3)],
             )
             v = np.linspace(-200, 200, 2001)[:, None]
-            cdf = prior.cdf_values(np.broadcast_to(v, (2001, 3)))
+            cdf = prior.cdf(np.broadcast_to(v, (2001, 3))).data
             assert (np.diff(cdf, axis=0) >= 0).all()
             # float saturation to exactly 0/1 far in the tails is fine
             assert (cdf >= 0).all() and (cdf <= 1).all()

@@ -2,6 +2,7 @@
 the no_grad forward path, initialization contracts, ablation key sets,
 config text and weight serialization."""
 
+import hashlib
 import struct
 import tracemalloc
 
@@ -65,6 +66,26 @@ class TestConfig:
             ModelConfig(downsample_factor=3)
         with pytest.raises(ConfigError):
             ModelConfig(mask_kernel_x=3)
+
+    @pytest.mark.parametrize("key, value", [
+        ("filters_n", 2 ** 17 + 1), ("filters_n", 3_000_000_000), ("mixtures_k", 65),
+        ("downsample_factor", 128), ("hyper_downsample", 2 ** 40)])
+    def test_values_above_bounds_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig(**{key: value})
+        text = f"{key}={value}\n"
+        with pytest.raises(ConfigError, match=key):
+            Model(parse_config_text(text))
+        blob = (b"NLW1" + struct.pack("<I", len(text)) + text.encode()
+                + struct.pack("<IQ", 0, 0))
+        with pytest.raises(ConfigError, match=key):
+            deserialize_weights(blob)
+
+    def test_largest_values_accepted(self):
+        n = 2 ** 17
+        cfg = ModelConfig(filters_n=n, mixtures_k=64, downsample_factor=64,
+                          hyper_downsample=64)
+        assert Model(cfg).params["head_y.conv2.w"].shape == (3 * 64 * n, 3 * n, 1, 1)
 
     def test_canonical_text_round_trip(self):
         cfg = ModelConfig(filters_n=16, use_attention=False, mask_kernel_x=5)
@@ -237,13 +258,13 @@ class TestEntropyParams:
         y_ctx = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
         pf = T.Tensor(rng.normal(size=(1, 8, 16, 16)))
         x_ctx = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
-        z = T.Tensor(rng.normal(scale=20.0, size=(1, 8, 2, 2)))
+        z = T.Tensor(rng.normal(scale=20.0, size=(1, 2, 2, 8)))  # channel-last
         for name in ("b", "a"):  # init leaves these zero
             for i in range(3):
                 model.params[f"prior.{name}{i}"].data = rng.normal(size=8)
         assert_no_grad_matches_recording(lambda: model.entropy_params_y(hf, y_ctx))
         assert_no_grad_matches_recording(lambda: model.entropy_params_x(pf, x_ctx))
-        assert_no_grad_matches_recording(lambda: model.prior_cdf(z))
+        assert_no_grad_matches_recording(lambda: model.prior.cdf(z))
 
 
 class TestAttention:
@@ -322,12 +343,9 @@ class TestInit:
         assert all(k.startswith("ctx_x") for k in base - no_ctx)
 
     def test_prior_matches_factorized_prior_init(self, small_config):
-        params = init_weights(small_config, seed=3).params
-        prior = FactorizedPrior.init(small_config.filters_n)
-        for kind, layers in (("h", prior.h_layers), ("b", prior.b_layers),
-                             ("a", prior.a_layers)):
-            for i, layer in enumerate(layers):
-                assert np.array_equal(params[f"prior.{kind}{i}"].data, layer)
+        model = init_weights(small_config, seed=3)
+        want = FactorizedPrior.init(small_config.filters_n).pmf_table(E.LATENT_GRID)
+        assert np.array_equal(model.prior.pmf_table(E.LATENT_GRID), want)
 
     def test_shared_keys_get_identical_values(self):
         full = init_weights(ModelConfig(filters_n=8), 5)
@@ -345,6 +363,12 @@ class TestSerialization:
         for k, t in model.params.items():
             np.testing.assert_array_equal(restored.params[k].data, t.data)
         assert serialize_weights(restored) == blob
+
+    def test_bytes_pinned(self, model):
+        # filters_n=8, mixtures_k=2, init seed 0: every init kind, the
+        # parameter order and the manifest layout
+        assert hashlib.sha256(serialize_weights(model)).hexdigest() == (
+            "53b88b75dfdd9f04150ed08b9283a455bc4da612366508a8631136d6d46ff011")
 
     def test_weight_hash_stable(self, model):
         assert weight_hash(model) == weight_hash(model)
@@ -413,6 +437,21 @@ class TestWeightsParsing:
         with pytest.raises(ContractViolation, match="key mismatch"):
             deserialize_weights(bad)
 
+    def test_duplicated_key_rejected(self, blob):
+        # list the first manifest entry twice: one more entry, same data
+        (cfg_len,) = struct.unpack_from("<I", blob, 4)
+        count_at = 8 + cfg_len
+        (n_params,) = struct.unpack_from("<I", blob, count_at)
+        first = count_at + 4
+        (key_len,) = struct.unpack_from("<H", blob, first)
+        (ndim,) = struct.unpack_from("<B", blob, first + 2 + key_len)
+        end = first + 2 + key_len + 1 + 4 * ndim + 8
+        key = blob[first + 2:first + 2 + key_len].decode()
+        bad = (blob[:count_at] + struct.pack("<I", n_params + 1) + blob[first:end]
+               + blob[first:])
+        with pytest.raises(ContractViolation, match=f"{key!r} is given twice"):
+            deserialize_weights(bad)
+
     def test_non_utf8_config_text_rejected(self, blob):
         bad = blob[:8] + b"\xff" + blob[9:]
         with pytest.raises(ConfigError, match="UTF-8"):
@@ -435,6 +474,24 @@ class TestWeightsParsing:
 
 
 class TestGradientFlow:
+    def test_prior_parameter_gradient(self, model, rng, kink_guard):
+        # the rate of integer symbols under the prior, as a training loss
+        # takes it; every prior.* parameter must receive its gradient
+        names = [f"prior.{kind}{i}" for i in range(3) for kind in "hba"]
+        for name in names:
+            model.params[name].data = rng.normal(size=8)
+        z = rng.normal(scale=3.0, size=(1, 2, 2, 8))  # channel-last
+
+        def rate():
+            upper, lower = model.prior.cdf(z + 0.5), model.prior.cdf(z - 0.5)
+            return T.reduce_sum(T.log(T.sub(upper, lower)))
+
+        rate().backward()
+        arrays = [model.params[name].data for name in names]
+        fd = finite_difference(lambda *_: rate().item(), arrays, kink_guard)
+        for name, want in zip(names, fd, strict=True):
+            assert rel_err(model.params[name].grad, want) < 1e-5, name
+
     def test_hyper_path_gradient(self, small_config, rng, kink_guard):
         m = init_weights(small_config, seed=2)
         y_data = rng.normal(size=(1, 8, 4, 4)) * 0.1
