@@ -5,16 +5,26 @@ The coder is a carry-propagating range coder with a 64-bit low accumulator,
 only, so identical (symbol, CDF) sequences produce identical bytes on any
 platform. Encoder and decoder instances are stateful and single-threaded.
 
-Container layout (all integers little-endian):
+Every coded interval nests inside the initial [0, 2^32 - 1), so the byte
+above the first 32-bit window is always 0 and no carry reaches it. The
+encoder drops it and the decoder starts from the first 4 bytes.
 
-    magic   "NLIC"                      4 bytes
-    version u16 (currently 1)           2
-    width, height, padded_w, padded_h   4 x u32
-    config_hash                         32 (sha256 of canonical config text)
-    weight_hash                         32 (sha256 of serialized weights)
-    len_z, len_y, len_x                 3 x u32
+Container layout, version 2. A varint is canonical unsigned LEB128 below
+2^32: 7 bits per byte, low group first, the high bit set on every byte but
+the last, at most 5 bytes and no trailing zero group.
+
+    magic   "NLIC"                          4 bytes
+    version u8 (currently 2)                1
+    width, height                           2 varints
+    padded_w - width, padded_h - height     2 varints
+    config_hash                             32 (sha256 of canonical config text)
+    weight_hash                             32 (sha256 of serialized weights)
+    len_z, len_y, len_x                     3 varints
     segment z | segment y | segment x
-    crc32 of everything above           u32 (poly 0xEDB88320, reflected)
+    crc32 of everything above               u32 little-endian (poly 0xEDB88320, reflected)
+
+A 16x16 image takes 7 varint bytes, so its header and CRC are 80 bytes.
+Version 1 (a fixed 98-byte header with a u16 version) is not read.
 """
 
 from __future__ import annotations
@@ -37,11 +47,8 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
 MAGIC = b"NLIC"
-FORMAT_VERSION = 1
-# the 98 bytes before the segments: magic, version, the ContainerHeader
-# fields in their declared order, then len_z, len_y, len_x
-_HEADER = struct.Struct("<4sH4I32s32s3I")
-HEADER_SIZE = _HEADER.size
+FORMAT_VERSION = 2
+_VARINT_MAX_BYTES = 5  # 5 x 7 bits cover 2^32 - 1
 
 
 class RangeEncoder:
@@ -51,7 +58,7 @@ class RangeEncoder:
         self._low = 0
         self._range = _MASK32
         self._cache = 0
-        self._cache_size = 1  # accounts for the leading dummy byte
+        self._cache_size = 1  # the leading byte, always 0; finish drops it
         self._out = bytearray()
         self._finished = False
 
@@ -94,7 +101,7 @@ class RangeEncoder:
         for _ in range(5):
             self._shift_low()
         self._finished = True
-        return bytes(self._out)
+        return bytes(self._out[1:])
 
 
 class RangeDecoder:
@@ -105,7 +112,6 @@ class RangeDecoder:
         self._pos = 0
         self._range = _MASK32
         self._code = 0
-        self._next_byte()  # leading dummy byte
         for _ in range(4):
             self._code = (self._code << 8) | self._next_byte()
 
@@ -121,13 +127,15 @@ class RangeDecoder:
         """Next symbol under cdf, the table the encoder used for it.
 
         cdf must be an ndarray: it is read with ndarray.item and searched
-        with ndarray.searchsorted.
+        with ndarray.searchsorted. Raises IntegrityError where the code
+        leaves the table's r * total: an encoder's code never does, so the
+        bytes are not a stream coded under this table sequence.
         """
         r = self._range >> CDF_PRECISION
         target = self._code // r
-        total = cdf.item(-1)
-        if target >= total:
-            target = total - 1
+        if target >= cdf.item(-1):
+            raise IntegrityError(
+                f"code outside the coded interval before byte {self._pos}")
         # binary search: greatest s with cdf[s] <= target
         symbol = int(cdf.searchsorted(target, side="right")) - 1
         cum_lo = cdf.item(symbol)
@@ -155,32 +163,87 @@ class ContainerHeader:
     weight_hash: bytes  # 32 bytes
 
 
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _read_varints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """The count varints from pos on, and the position after them."""
+    values = []
+    for _ in range(count):
+        value = 0
+        for i in range(_VARINT_MAX_BYTES):
+            if pos + i >= len(data):
+                raise TruncationError(f"container header cut inside the varint at byte {pos}")
+            b = data[pos + i]
+            value |= (b & 0x7F) << (7 * i)
+            if b < 0x80:
+                break
+        else:
+            raise IntegrityError(
+                f"varint at byte {pos} is longer than {_VARINT_MAX_BYTES} bytes")
+        if b == 0 and i > 0:
+            raise IntegrityError(f"non-canonical varint at byte {pos}")
+        if value > _MASK32:
+            raise IntegrityError(f"varint at byte {pos} exceeds 2^32 - 1")
+        values.append(value)
+        pos += i + 1
+    return values, pos
+
+
 def write_container(header: ContainerHeader, seg_z: bytes, seg_y: bytes,
                     seg_x: bytes) -> bytes:
     if len(header.config_hash) != 32 or len(header.weight_hash) != 32:
         raise ContractViolation("hashes must be 32 bytes")
-    buf = bytearray(_HEADER.pack(MAGIC, FORMAT_VERSION, header.width, header.height,
-                                 header.padded_w, header.padded_h, header.config_hash,
-                                 header.weight_hash, len(seg_z), len(seg_y), len(seg_x)))
+    sizes = (header.width, header.height, header.padded_w, header.padded_h)
+    lengths = (len(seg_z), len(seg_y), len(seg_x))
+    if not all(0 <= v <= _MASK32 for v in sizes + lengths):
+        raise ContractViolation(
+            f"sizes {sizes} and segment lengths {lengths} must be in [0, 2^32 - 1]")
+    if header.padded_w < header.width or header.padded_h < header.height:
+        raise ContractViolation(
+            f"padded size {header.padded_w}x{header.padded_h} is smaller than "
+            f"the image, {header.width}x{header.height}")
+    buf = bytearray(MAGIC)
+    buf.append(FORMAT_VERSION)
+    for v in (header.width, header.height, header.padded_w - header.width,
+              header.padded_h - header.height):
+        buf += _varint(v)
+    buf += header.config_hash
+    buf += header.weight_hash
+    for v in lengths:
+        buf += _varint(v)
     buf += seg_z
     buf += seg_y
     buf += seg_x
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    buf += struct.pack("<I", zlib.crc32(buf))
     return bytes(buf)
 
 
 def read_container(data: bytes):
     """Parse and validate a container; returns (header, seg_z, seg_y, seg_x)."""
-    if len(data) < HEADER_SIZE + 4:
+    off = len(MAGIC) + 1
+    if len(data) < off:
         raise TruncationError(f"container of {len(data)} bytes is too short")
-    magic, version, *fields, len_z, len_y, len_x = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise IntegrityError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported container version {version}")
+    if data[:len(MAGIC)] != MAGIC:
+        raise IntegrityError(f"bad magic {data[:len(MAGIC)]!r}, expected {MAGIC!r}")
+    if data[len(MAGIC)] != FORMAT_VERSION:
+        raise VersionError(f"unsupported container version {data[len(MAGIC)]}")
+    (width, height, extra_w, extra_h), off = _read_varints(data, off, 4)
+    if width + extra_w > _MASK32 or height + extra_h > _MASK32:
+        raise IntegrityError("padded size exceeds 2^32 - 1")
+    if off + 64 > len(data):
+        raise TruncationError(f"container of {len(data)} bytes cut inside the hashes")
+    config_hash, weight_hash = data[off:off + 32], data[off + 32:off + 64]
+    lengths, off = _read_varints(data, off + 64, 3)
     # lengths before the CRC: a cut-off container must read as truncated,
     # not as corrupt
-    declared = HEADER_SIZE + len_z + len_y + len_x + 4
+    declared = off + sum(lengths) + 4
     if declared != len(data):
         error = TruncationError if declared > len(data) else IntegrityError
         raise error(f"segment lengths declare {declared} bytes, container has {len(data)}")
@@ -189,10 +252,10 @@ def read_container(data: bytes):
     if stored_crc != actual_crc:
         raise IntegrityError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
-    off = HEADER_SIZE
-    seg_z = data[off:off + len_z]
-    off += len_z
-    seg_y = data[off:off + len_y]
-    off += len_y
-    seg_x = data[off:off + len_x]
-    return ContainerHeader(*fields), seg_z, seg_y, seg_x
+    segments = []
+    for n in lengths:
+        segments.append(data[off:off + n])
+        off += n
+    header = ContainerHeader(width, height, width + extra_w, height + extra_h,
+                             config_hash, weight_hash)
+    return (header, *segments)

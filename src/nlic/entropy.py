@@ -395,7 +395,9 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     # over the row
     if not 0.0 <= cum[-1] <= CDF_TOTAL:
         raise ContractViolation(f"pmf cumulative {cum[-1] / CDF_TOTAL} is not in [0, 1]")
-    cum = cum.astype(np.int64)
+    # the counts stay float64: a negative entry can leave cumulatives far
+    # outside any integer type, and every count that passes the checks
+    # below is an integer of at most 2^16, exact in float64
     cum[-1] = CDF_TOTAL
     # a bin is non-empty where the cumulative rises; where a negative pmf
     # entry makes it fall, the bin counts as empty and is repaired below,
@@ -411,7 +413,7 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     # maximum only where every other count is negative, and then top - E
     # still exceeds it and the total check below raises.
     j = int(counts.argmax())
-    top = int(counts[j])
+    top = counts.item(j)
     cut = top - n_empty
     if counts[j - 1] <= cut and counts[(j + 1) % n] <= cut:
         counts[j] = 0

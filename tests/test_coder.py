@@ -2,13 +2,16 @@
 
 import hashlib
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from nlic import entropy as E
 from nlic.coder import (
-    HEADER_SIZE,
+    FORMAT_VERSION,
+    MAGIC,
     ContainerHeader,
     RangeDecoder,
     RangeEncoder,
@@ -76,7 +79,9 @@ class TestRangeCoderRoundTrip:
     def test_bytes_pinned(self):
         # sha256 of a fixed-seed stream over 40 CDFs; the digest was computed
         # with the coder reading the CDF through int(cdf[i]) and
-        # np.searchsorted, before cdf.item and cdf.searchsorted replaced them
+        # np.searchsorted, before cdf.item and cdf.searchsorted replaced them,
+        # and with the stream's leading zero byte, which the encoder no
+        # longer writes: putting it back gives the same bytes
         rng = np.random.default_rng(20221018)
         cdfs = [random_cdf(rng, int(rng.integers(2, 300))) for _ in range(40)]
         picks = rng.integers(0, len(cdfs), size=20000)
@@ -85,7 +90,7 @@ class TestRangeCoderRoundTrip:
         for s, c in zip(symbols, picks):
             enc.encode_symbol(s, cdfs[c])
         data = enc.finish()
-        assert hashlib.sha256(data).hexdigest() == (
+        assert hashlib.sha256(b"\x00" + data).hexdigest() == (
             "6947a9368cb167f9cb369ec6c449da04378fa4f62678cd1a30fd76da93b011ce")
         dec = RangeDecoder(data)
         assert [dec.decode_symbol(cdfs[c]) for c in picks] == symbols
@@ -107,6 +112,15 @@ class TestRangeCoderRoundTrip:
         with pytest.raises(TruncationError):
             for _ in symbols:
                 dec.decode_symbol(cdf)
+
+    def test_bytes_no_encoder_wrote_raise(self):
+        # the code 2^32 - 1 lies above the r * total an encoder's code stays
+        # below, so the first symbol raises. Clamping the target instead let
+        # the code outgrow the range and grow by 8 bits per renormalisation.
+        cdf = E.build_cdf(np.array([0.5, 0.25, 0.125, 0.0625, 0.0625]))
+        dec = RangeDecoder(b"\xff" * 4000)
+        with pytest.raises(IntegrityError, match="outside"):
+            dec.decode_symbol(cdf)
 
 
 class TestCodelengthBounds:
@@ -171,10 +185,81 @@ class TestContainer:
         assert (z, y, x) == (b"zz", b"yyy", b"xxxx")
 
     def test_header_size_frozen(self):
-        # fixed documented header footprint: 98 bytes + segments + 4-byte CRC
+        # the v2 layout byte for byte: 7 one-byte varints make a 16x16
+        # container with empty segments 80 bytes, header and CRC
         blob = write_container(self._header(), b"", b"", b"")
-        assert HEADER_SIZE == 98
-        assert len(blob) == HEADER_SIZE + 4
+        body = (b"NLIC" + bytes([2, 16, 16, 0, 0]) + bytes(range(64))
+                + bytes([0, 0, 0]))
+        assert blob == body + struct.pack("<I", zlib.crc32(body))
+        assert len(blob) == 80
+
+    def test_bytes_pinned(self):
+        # multi-byte varints in the sizes and padding
+        hdr = ContainerHeader(width=300, height=17, padded_w=304, padded_h=32,
+                              config_hash=bytes(range(32)),
+                              weight_hash=bytes(range(32, 64)))
+        blob = write_container(hdr, b"zz", b"y" * 200, b"xxxx")
+        assert blob[5:10] == bytes([0xAC, 0x02, 17, 4, 15])
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2fb8fb9e5256fcc614174d109bd3435e7d729380dde30c97f0982055bc91efcb")
+        assert read_container(blob) == (hdr, b"zz", b"y" * 200, b"xxxx")
+
+    @staticmethod
+    def _raw(sizes: bytes, lengths: bytes = bytes(3), version: int = FORMAT_VERSION):
+        """A container with the given varint bytes and a valid CRC."""
+        body = MAGIC + bytes([version]) + sizes + bytes(64) + lengths
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    def test_largest_size_accepted(self):
+        blob = self._raw(b"\xff\xff\xff\xff\x0f" + bytes([1, 0, 0]))
+        hdr = read_container(blob)[0]
+        assert (hdr.width, hdr.height, hdr.padded_w, hdr.padded_h) == (2 ** 32 - 1, 1, 2 ** 32 - 1, 1)
+        assert write_container(hdr, b"", b"", b"") == blob
+
+    @pytest.mark.parametrize("sizes, match", [
+        (b"\x80\x80\x80\x80\x80\x01" + bytes([1, 0, 0]), "longer than 5"),
+        (b"\xff\xff\xff\xff\x10" + bytes([1, 0, 0]), "exceeds"),
+        (b"\x90\x00" + bytes([1, 0, 0]), "non-canonical"),
+        (bytes([16, 16, 0]) + b"\x80\x00", "non-canonical"),
+        (bytes([1]) + b"\xff\xff\xff\xff\x0f" + bytes([0, 1]), "padded"),
+    ], ids=["over-long", "above-2^32-1", "non-canonical", "non-canonical-zero",
+            "padded-above-2^32-1"])
+    def test_bad_size_field(self, sizes, match):
+        with pytest.raises(IntegrityError, match=match) as info:
+            read_container(self._raw(sizes))
+        assert not isinstance(info.value, TruncationError)
+
+    def test_bad_segment_length_varint(self):
+        with pytest.raises(IntegrityError, match="exceeds"):
+            read_container(self._raw(bytes([16, 16, 0, 0]), b"\x00\xff\xff\xff\xff\x7f\x00"))
+
+    @pytest.mark.parametrize("cut, match", [(5, "varint"), (6, "varint"), (20, "hashes"),
+                                            (76, "varint")])
+    def test_cut_inside_header(self, cut, match):
+        # width 300 is 0xAC 0x02, at bytes 5 and 6; len_y 200 is 0xC8 0x01,
+        # at bytes 75 and 76
+        hdr = ContainerHeader(width=300, height=17, padded_w=300, padded_h=17,
+                              config_hash=bytes(32), weight_hash=bytes(32))
+        blob = write_container(hdr, b"", b"y" * 200, b"")
+        assert blob[5:7] == bytes([0xAC, 0x02]) and blob[75:77] == bytes([0xC8, 0x01])
+        with pytest.raises(TruncationError, match=match):
+            read_container(blob[:cut])
+
+    def test_v1_container_rejected(self):
+        body = struct.pack("<4sH4I32s32s3I", b"NLIC", 1, 16, 16, 16, 16,
+                           bytes(range(32)), bytes(range(32, 64)), 0, 0, 0)
+        with pytest.raises(VersionError, match="version 1"):
+            read_container(body + struct.pack("<I", zlib.crc32(body)))
+
+    @pytest.mark.parametrize("sizes", [
+        (16, 16, 15, 16), (16, 16, 16, 8), (-1, 16, 16, 16), (16, 16, 16, -16),
+        (2 ** 32, 16, 2 ** 32, 16), (16, 16, 16, 2 ** 32)],
+        ids=["padded_w<width", "padded_h<height", "negative-width", "negative-padded",
+             "width-2^32", "padded_h-2^32"])
+    def test_invalid_sizes_rejected(self, sizes):
+        hdr = ContainerHeader(*sizes, config_hash=bytes(32), weight_hash=bytes(32))
+        with pytest.raises(ContractViolation):
+            write_container(hdr, b"", b"", b"")
 
     def test_any_flipped_byte_fails_crc(self, rng):
         blob = bytearray(write_container(self._header(), b"abc", b"de", b"f"))
@@ -196,8 +281,6 @@ class TestContainer:
         blob = bytearray(write_container(self._header(), b"", b"", b""))
         blob[4] = 99
         # recompute CRC so the version check is what trips
-        import struct
-        import zlib
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         with pytest.raises(VersionError):
             read_container(bytes(blob))

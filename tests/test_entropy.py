@@ -607,10 +607,14 @@ class TestBuildCdf:
         with pytest.raises(ContractViolation, match="cumulative"):
             E.build_cdf(np.array(pmf))
 
-    @pytest.mark.parametrize("pmf", [[0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0]],
-                             ids=["no-empty-bin", "empty-bin", "tiny-first"])
+    @pytest.mark.parametrize("pmf", [[0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0],
+                                     [1e20, -1e20, 0.5, 0.5], [-1e20, 1e20, 0.5, 0.5]],
+                             ids=["no-empty-bin", "empty-bin", "tiny-first", "huge-cancelling",
+                                  "huge-cancelling-negative-first"])
     def test_negative_entry_rejected(self, pmf):
-        # the total stays in [0, 1], so only the counts show the negative entry
+        # the total stays in [0, 1], so only the counts show the negative
+        # entry; counts of 6.5e24 are beyond int64, and must raise before
+        # any cast to an integer type
         with pytest.raises(ContractViolation, match="negative"):
             E.build_cdf(np.array(pmf))
 

@@ -50,8 +50,9 @@ def parses_or_raises_nlic_error(parse, data):
 # container
 # ---------------------------------------------------------------------------
 
+# width 300 and padded_w 304 give one two-byte and one one-byte varint
 CONTAINER = write_container(
-    ContainerHeader(width=16, height=16, padded_w=16, padded_h=16,
+    ContainerHeader(width=300, height=16, padded_w=304, padded_h=16,
                     config_hash=bytes(range(32)), weight_hash=bytes(range(32, 64))),
     b"zz", b"yyy", b"xxxx")
 
