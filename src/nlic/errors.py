@@ -26,11 +26,12 @@ class PrecisionError(NlicError):
 
 
 class IntegrityError(NlicError):
-    """Bitstream-level corruption (CRC mismatch)."""
+    """A corrupt container, coded stream or weights file: bad magic, CRC
+    mismatch, bytes past its declared end, ..."""
 
 
 class TruncationError(IntegrityError):
-    """Coded stream ended before decoding finished."""
+    """A container, coded stream or weights file ended too early."""
 
 
 class VersionError(IntegrityError):

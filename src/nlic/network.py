@@ -12,7 +12,6 @@ threads; training is single-writer.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -21,10 +20,10 @@ import numpy as np
 
 from . import tensor as T
 from .entropy import SCALE_FLOOR, FactorizedPrior
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, IntegrityError, TruncationError
 from .tensor import Tensor
 
-WEIGHTS_MAGIC = b"NLW1"
+WEIGHTS_MAGIC = b"NLW2"
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,11 @@ class ModelConfig:
     hyper_downsample: int = 4    # additional stride of the hyper analysis
 
     def __post_init__(self):
+        # exact types, so one config has one canonical text and one hash
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if type(v) is not (bool if f.type == "bool" else int):
+                raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
         # the upper bounds sit far above paper scale; they keep every
         # parameter's element count within numpy's index range
         if not 1 <= self.mixtures_k <= 64:
@@ -143,8 +147,8 @@ class _ParamStore:
     def add(self, name: str, shape, init: str, fan_in: int = 0) -> Tensor:
         if name in self.params:
             raise ContractViolation(f"duplicate parameter {name}")
-        # a read-only zero view: init_random or load_state replaces it, so a
-        # config alone allocates nothing
+        # a read-only zero view: init_random or deserialize_weights replaces
+        # it, so a config alone allocates nothing
         t = Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
         self.params[name] = t
         self.specs[name] = (init, fan_in)  # read by Model.init_random
@@ -316,20 +320,6 @@ class Model:
     def state(self) -> dict:
         return {name: t.data for name, t in self.params.items()}
 
-    def load_state(self, state: dict) -> "Model":
-        missing = set(self.params) - set(state)
-        extra = set(state) - set(self.params)
-        if missing or extra:
-            raise ContractViolation(
-                f"weight key mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, t in self.params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ContractViolation(
-                    f"shape mismatch for {name}: {arr.shape} != {t.data.shape}")
-            t.data = arr.copy()
-        return self
-
     # -- transforms ----------------------------------------------------------
 
     def analysis(self, x: Tensor) -> Tensor:
@@ -405,85 +395,57 @@ def init_weights(config: ModelConfig, seed: int) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# weight serialization ("NLW1")
+# weight serialization ("NLW2": magic, config text, float64 data, CRC32)
 # ---------------------------------------------------------------------------
 
 
 def serialize_weights(model: Model) -> bytes:
-    """Magic, embedded canonical config text, length-prefixed manifest of
-    (key, shape, offset), then raw little-endian float64 data."""
+    """Integers little-endian. The config fixes each parameter's name, shape
+    and place in the data, so there is no manifest.
+
+        magic "NLW2"                                4 bytes
+        u32 length of the canonical config text     4
+        canonical config text (UTF-8)
+        every parameter as float64, in model.params order, C order
+        crc32 of everything above                   u32
+    """
     config_text = canonical_config_text(model.config).encode()
-    manifest = bytearray()
-    data = bytearray()
-    state = model.state()
-    manifest += struct.pack("<I", len(state))
-    for name, arr in state.items():
-        key = name.encode()
-        manifest += struct.pack("<H", len(key)) + key
-        manifest += struct.pack("<B", arr.ndim)
-        manifest += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        manifest += struct.pack("<Q", len(data))
-        data += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    out = bytearray()
-    out += WEIGHTS_MAGIC
-    out += struct.pack("<I", len(config_text)) + config_text
-    out += manifest
-    out += struct.pack("<Q", len(data)) + data
+    out = bytearray(WEIGHTS_MAGIC + struct.pack("<I", len(config_text)) + config_text)
+    for arr in model.state().values():
+        out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
 
 
 def deserialize_weights(blob: bytes) -> Model:
-    """Inverse of serialize_weights. Raises ContractViolation for a bad
-    magic, for a blob shorter or longer than the sizes it declares, for an
-    entry reaching past the data, for a key given twice, and for keys or
-    shapes that do not fit the config (a non-UTF-8 key included);
-    ConfigError for config text that is not UTF-8 or does not parse."""
+    """Inverse of serialize_weights. Raises TruncationError for a blob shorter
+    than its config declares; IntegrityError for a bad magic, a longer blob or
+    a CRC mismatch; ConfigError for config text that is not UTF-8 or does not
+    parse. No weight is allocated before the CRC passes."""
+    if len(blob) < 8:
+        raise TruncationError(f"weights file of {len(blob)} bytes is too short")
     if blob[:4] != WEIGHTS_MAGIC:
-        raise ContractViolation(f"bad weights magic {blob[:4]!r}")
-    off = 4
-
-    def take(size: int) -> bytes:
-        nonlocal off
-        if off + size > len(blob):
-            raise ContractViolation("weights file truncated")
-        off += size
-        return blob[off - size:off]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    (cfg_len,) = unpack("<I")
+        raise IntegrityError(f"bad weights magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}")
+    (cfg_len,) = struct.unpack_from("<I", blob, 4)
+    if 8 + cfg_len > len(blob):
+        raise TruncationError(f"weights file of {len(blob)} bytes cut inside the config text")
     try:
-        config = parse_config_text(take(cfg_len).decode())
+        model = Model(parse_config_text(blob[8:8 + cfg_len].decode()))
     except UnicodeDecodeError as e:
         raise ConfigError(f"weights config text is not UTF-8: {e}") from None
-    (n_params,) = unpack("<I")
-    entries = {}
-    for _ in range(n_params):
-        (key_len,) = unpack("<H")
-        # a non-UTF-8 key keeps its bad bytes as \xNN escapes, so it matches
-        # no parameter name and load_state rejects it
-        key = take(key_len).decode(errors="backslashreplace")
-        if key in entries:
-            raise ContractViolation(f"weights key {key!r} is given twice")
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I")
-        (data_off,) = unpack("<Q")
-        entries[key] = shape, data_off
-    (data_len,) = unpack("<Q")
-    data = take(data_len)
-    if off != len(blob):
-        raise ContractViolation(f"{len(blob) - off} bytes follow the weights data")
-    state = {}
-    for key, (shape, data_off) in entries.items():
-        count = math.prod(shape)
-        if data_off + 8 * count > data_len:
-            raise ContractViolation(
-                f"weights entry {key!r} ({count} values at byte {data_off}) reaches "
-                f"past the {data_len} data bytes")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=data_off)
-        state[key] = arr.reshape(shape).astype(np.float64)
-    return Model(config).load_state(state)
+    sizes = [t.data.size for t in model.params.values()]
+    declared = 8 + cfg_len + 8 * sum(sizes) + 4
+    if declared != len(blob):
+        error = TruncationError if declared > len(blob) else IntegrityError
+        raise error(f"config declares a {declared}-byte weights file, got {len(blob)} bytes")
+    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    if stored_crc != zlib.crc32(memoryview(blob)[:-4]):
+        raise IntegrityError(f"weights CRC mismatch: stored {stored_crc:#010x}")
+    values = np.frombuffer(blob, dtype="<f8", count=sum(sizes),
+                           offset=8 + cfg_len).astype(np.float64)
+    for t, arr in zip(model.params.values(), np.split(values, np.cumsum(sizes)[:-1])):
+        t.data = arr.reshape(t.data.shape)
+    return model
 
 
 def weight_hash(model: Model) -> bytes:
