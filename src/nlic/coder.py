@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,25 +127,29 @@ class RangeDecoder:
     def decode_symbol(self, cdf: np.ndarray) -> int:
         """Next symbol under cdf, the table the encoder used for it.
 
-        cdf must be an ndarray: it is read with ndarray.item and searched
-        with ndarray.searchsorted. Raises IntegrityError where the code
-        leaves the table's r * total: an encoder's code never does, so the
-        bytes are not a stream coded under this table sequence.
+        cdf must be a 1-D integer ndarray in native byte order, of any
+        stride: it is read through one memoryview, searched with
+        bisect.bisect_right. Raises IntegrityError where the code leaves
+        the table's r * total: an encoder's code never does, so the bytes
+        are not a stream coded under this table sequence.
         """
+        table = memoryview(cdf)
         r = self._range >> CDF_PRECISION
-        target = self._code // r
-        if target >= cdf.item(-1):
+        code = self._code
+        target = code // r
+        if target >= table[-1]:
             raise IntegrityError(
                 f"code outside the coded interval before byte {self._pos}")
-        # binary search: greatest s with cdf[s] <= target
-        symbol = int(cdf.searchsorted(target, side="right")) - 1
-        cum_lo = cdf.item(symbol)
-        cum_hi = cdf.item(symbol + 1)
-        self._code -= r * cum_lo
-        self._range = r * (cum_hi - cum_lo)
-        while self._range < _TOP:
-            self._code = (self._code << 8) | self._next_byte()
-            self._range = (self._range << 8) & _MASK32
+        # greatest s with cdf[s] <= target
+        symbol = bisect_right(table, target) - 1
+        cum_lo = table[symbol]
+        code -= r * cum_lo
+        width = r * (table[symbol + 1] - cum_lo)
+        while width < _TOP:
+            code = (code << 8) | self._next_byte()
+            width = (width << 8) & _MASK32
+        self._code = code
+        self._range = width
         return symbol
 
 

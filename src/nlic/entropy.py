@@ -373,11 +373,15 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     for top the largest count and second the largest of the rest, the
     water level is top - E (or, at equality, second itself, which cuts the
     same units), so that bin gives all E units and no sort is needed.
+    2 * top - E >= 2^16 is sufficient and takes no pass over the row: with
+    no negative count the other bins sum to 2^16 - top, so second is at
+    most 2^16 - top, which is then at most top - E. Rows that miss it are
+    decided by the top's neighbours and then the full maximum.
 
     A negative entry makes its bin count as empty. On the general path the
     sort shows the negative count; on the one-bin path, raising a count
     c < 0 to 1 adds 1 - c instead of the 1 an empty bin takes, so the
-    repaired total exceeds 2^16.
+    repaired total exceeds 2^16, whichever test chose that path.
     """
     p = np.asarray(pmf, dtype=np.float64).ravel()
     n = p.size
@@ -406,8 +410,9 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     if n_empty == 0:
         return cum.astype(np.uint32)
     counts = cum[1:] - cum[:-1]  # sums to exactly CDF_TOTAL
-    # The largest bin alone gives all E units when top - E >= second. Any
-    # other bin above top - E rules that out; on unimodal rows the top's
+    # The largest bin alone gives all E units when top - E >= second. On
+    # many rows the O(1) bound in the docstring shows it. On the rest, any
+    # other bin above top - E rules it out; on unimodal rows the top's
     # neighbours hold the second count, so they are read before the full
     # max. The top's slot reads 0 during the max: that raises the rest's
     # maximum only where every other count is negative, and then top - E
@@ -415,16 +420,18 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     j = int(counts.argmax())
     top = counts.item(j)
     cut = top - n_empty
-    if counts[j - 1] <= cut and counts[(j + 1) % n] <= cut:
+    one_donor = cut >= CDF_TOTAL - top
+    if not one_donor and counts[j - 1] <= cut and counts[(j + 1) % n] <= cut:
         counts[j] = 0
-        if cut >= counts.max():
-            counts[j] = cut
-            np.maximum(counts, 1, out=counts)
-            np.add.accumulate(counts, out=cum[1:])
-            if cum[-1] != CDF_TOTAL:
-                raise ContractViolation("pmf has a negative entry: its cumulative decreases")
-            return cum.astype(np.uint32)
+        one_donor = cut >= counts.max()
         counts[j] = top
+    if one_donor:
+        counts[j] = cut
+        np.maximum(counts, 1, out=counts)
+        np.add.accumulate(counts, out=cum[1:])
+        if cum[-1] != CDF_TOTAL:
+            raise ContractViolation("pmf has a negative entry: its cumulative decreases")
+        return cum.astype(np.uint32)
     # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
     # nondecreasing in k. The first m bins, those with excess(s[m]) > E,
     # are cut, to T = ceil((sum(s[:m]) - E) / m).
@@ -448,8 +455,11 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
 
 def cdf_bits(cdf: np.ndarray, symbol_index: int) -> float:
     """Ideal codelength of one symbol under a quantized CDF table. Raises
-    ContractViolation for a symbol outside [0, len(cdf) - 2]."""
+    ContractViolation for a symbol outside [0, len(cdf) - 2] and for a bin
+    of zero or negative width."""
     if not 0 <= symbol_index < len(cdf) - 1:
         raise ContractViolation(f"symbol {symbol_index} outside CDF support of {len(cdf) - 1}")
     span = int(cdf[symbol_index + 1]) - int(cdf[symbol_index])
+    if span <= 0:
+        raise ContractViolation(f"CDF not strictly increasing at symbol {symbol_index}")
     return float(CDF_PRECISION - np.log2(span))

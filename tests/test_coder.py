@@ -76,12 +76,10 @@ class TestRangeCoderRoundTrip:
             total_symbols += count
         assert total_symbols >= 10 ** 6
 
-    def test_bytes_pinned(self):
-        # sha256 of a fixed-seed stream over 40 CDFs; the digest was computed
-        # with the coder reading the CDF through int(cdf[i]) and
-        # np.searchsorted, before cdf.item and cdf.searchsorted replaced them,
-        # and with the stream's leading zero byte, which the encoder no
-        # longer writes: putting it back gives the same bytes
+    @staticmethod
+    def pinned_stream():
+        """(cdfs, picks, symbols, stream): 20,000 fixed-seed symbols, each
+        coded under cdfs[pick], one of 40 CDFs."""
         rng = np.random.default_rng(20221018)
         cdfs = [random_cdf(rng, int(rng.integers(2, 300))) for _ in range(40)]
         picks = rng.integers(0, len(cdfs), size=20000)
@@ -89,9 +87,34 @@ class TestRangeCoderRoundTrip:
         enc = RangeEncoder()
         for s, c in zip(symbols, picks):
             enc.encode_symbol(s, cdfs[c])
-        data = enc.finish()
+        return cdfs, picks, symbols, enc.finish()
+
+    def test_bytes_pinned(self):
+        # sha256 of the pinned stream; the digest was computed with the coder
+        # reading the CDF through int(cdf[i]) and np.searchsorted, before
+        # cdf.item and cdf.searchsorted replaced them, and with the stream's
+        # leading zero byte, which the encoder no longer writes: putting it
+        # back gives the same bytes
+        cdfs, picks, symbols, data = self.pinned_stream()
         assert hashlib.sha256(b"\x00" + data).hexdigest() == (
             "6947a9368cb167f9cb369ec6c449da04378fa4f62678cd1a30fd76da93b011ce")
+        dec = RangeDecoder(data)
+        assert [dec.decode_symbol(cdfs[c]) for c in picks] == symbols
+
+    @pytest.mark.parametrize("layout", ["strided", "int64", "read-only"])
+    def test_decode_reads_any_integer_table(self, layout):
+        # the decoder reads the table through a memoryview, which follows
+        # the array's stride and item size
+        cdfs, picks, symbols, data = self.pinned_stream()
+        if layout == "strided":
+            cdfs = [np.repeat(cdf, 2)[::2] for cdf in cdfs]
+            assert not cdfs[0].flags.c_contiguous
+        elif layout == "int64":
+            cdfs = [cdf.astype(np.int64) for cdf in cdfs]
+        else:
+            cdfs = [cdf.view() for cdf in cdfs]
+            for cdf in cdfs:
+                cdf.flags.writeable = False
         dec = RangeDecoder(data)
         assert [dec.decode_symbol(cdfs[c]) for c in picks] == symbols
 

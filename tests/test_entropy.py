@@ -636,6 +636,14 @@ class TestBuildCdf:
         with pytest.raises(ContractViolation, match="outside"):
             E.cdf_bits(E.build_cdf(np.full(4, 0.25)), symbol)
 
+    @pytest.mark.parametrize("cdf", [[0, 5, 5, 65536], [0, 5, 4, 65536]],
+                             ids=["zero-width", "decreasing"])
+    def test_cdf_bits_bin_not_increasing(self, cdf):
+        # a caller fault, as in RangeEncoder.encode_symbol: no inf or NaN
+        # codelength and no numpy warning
+        with pytest.raises(ContractViolation, match="not strictly increasing at symbol 1"):
+            E.cdf_bits(np.array(cdf, dtype=np.uint32), 1)
+
 
 def _build_cdf_loop(pmf):
     """Reference build_cdf: repairs empty bins one at a time, each taking 1
@@ -784,6 +792,40 @@ class TestBuildCdfOracle:
                              ids=["one-negative", "all-others-negative", "two-negative"])
     def test_negative_entry_in_one_donor_rows(self, counts):
         assert self.one_donor(counts)
+        with pytest.raises(ContractViolation, match="negative"):
+            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
+
+    @staticmethod
+    def meets_constant_time_test(counts):
+        """build_cdf's O(1) one-donor test: 2 * top - E >= 2^16."""
+        return 2 * max(counts) - sum(x <= 0 for x in counts) >= E.CDF_TOTAL
+
+    @pytest.mark.parametrize("counts, meets, one_donor", [
+        ([0, 32769, 0, 16000, 16767], True, True),
+        ([32767, 0, 32769, 0], True, True),
+        ([0, 32768, 10000, 22768], False, True),
+        ([32767, 0, 32769, 0, 0], False, False),
+        ([32768, 0, 32768], False, False),
+        ([0, 32768, 0, 32768], False, False),
+    ], ids=["2top-E=2^16", "2top-E=2^16-second-at-level", "2top-E=2^16-1-one-donor",
+            "2top-E=2^16-1-two-donors", "tied-top", "tied-top-two-empty"])
+    def test_constant_time_one_donor_test(self, counts, meets, one_donor):
+        # a row one unit short of the O(1) test still goes through the
+        # neighbours and the full maximum
+        assert sum(counts) == E.CDF_TOTAL
+        assert self.meets_constant_time_test(counts) is meets
+        assert self.one_donor(counts) is one_donor
+        self.assert_same(np.array(counts) / E.CDF_TOTAL)
+
+    @pytest.mark.parametrize("counts", [[0, 32769, 32769, -2], [-1, 32769, 0, 32768]],
+                             ids=["tied-top", "second-above-top-E"])
+    def test_negative_entry_meeting_constant_time_test(self, counts):
+        # 2 * top - E = 2^16, but a negative count lets the other bins sum
+        # above 2^16 - top and second exceed top - E; the repaired total
+        # still shows it (test_negative_entry_in_one_donor_rows has rows
+        # far above the bound)
+        assert sum(counts) == E.CDF_TOTAL
+        assert self.meets_constant_time_test(counts)
         with pytest.raises(ContractViolation, match="negative"):
             E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
