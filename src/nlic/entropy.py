@@ -349,16 +349,26 @@ def determinize(weights, means, scales, grid: SymbolGrid):
 # ---------------------------------------------------------------------------
 
 
+# 0-d float64 operands for build_cdf's ufunc calls: numpy converts a Python
+# scalar operand again on every call, which costs as much as the call itself
+# on a 256-entry row
+_TOTAL_F64 = np.array(float(CDF_TOTAL))
+_ONE_F64 = np.array(1.0)
+_TOTAL_F64.setflags(write=False)
+_ONE_F64.setflags(write=False)
+
+
 def build_cdf(pmf: np.ndarray) -> np.ndarray:
     """Quantize a discrete pmf to a strictly increasing integer CDF.
 
     Floor-quantizes the cumulative onto 2^16 and then repairs the E empty
     bins: each gets 1, taken one unit at a time from the currently largest
-    bin, ties to the lowest symbol index. Returns cum[0..n] as uint32 with
-    cum[0] = 0, cum[n] = 2^16; every symbol keeps probability >= 1/2^16.
-    An empty pmf, a pmf whose floored total is NaN or outside [0, 2^16],
-    and one whose floored cumulative decreases anywhere (a negative entry)
-    raise ContractViolation.
+    bin, ties to the lowest symbol index. Returns cum[0..n] as a 1-D,
+    C-contiguous, native-order uint32 array with cum[0] = 0, cum[n] = 2^16;
+    every symbol keeps probability >= 1/2^16. The input is only read, in any
+    layout and any real dtype. An empty pmf, a pmf whose floored total is
+    NaN or outside [0, 2^16], and one whose floored cumulative decreases
+    anywhere (a negative entry) raise ContractViolation.
 
     The steals are computed in closed form. A donor never falls below 1, so
     a repaired bin (count 1) is never chosen again and only the originally
@@ -373,10 +383,18 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     for top the largest count and second the largest of the rest, the
     water level is top - E (or, at equality, second itself, which cuts the
     same units), so that bin gives all E units and no sort is needed.
-    2 * top - E >= 2^16 is sufficient and takes no pass over the row: with
-    no negative count the other bins sum to 2^16 - top, so second is at
-    most 2^16 - top, which is then at most top - E. Rows that miss it are
-    decided by the top's neighbours and then the full maximum.
+    Three tests show it, cheapest first; each is exact for rows without a
+    negative count, whose counts are all >= 0 and sum to 2^16:
+
+    - 2 * top - E >= 2^16. The other bins sum to 2^16 - top, so second is
+      at most 2^16 - top, which is then at most top - E.
+    - Neither neighbour of the top, c[j-1] and c[j+1] (wrapping at the
+      ends), exceeds top - E, and neither does R = 2^16 - top - c[j-1] -
+      c[j+1]. For n >= 4 the bins other than the top and its neighbours sum
+      to R, so none of them exceeds R. For n <= 3 there are no such bins,
+      and the neighbours are all of the rest.
+    - Neither neighbour exceeds top - E, and neither does the full maximum
+      of the rest.
 
     A negative entry makes its bin count as empty. On the general path the
     sort shows the negative count; on the one-bin path, raising a count
@@ -390,46 +408,53 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     if n > CDF_TOTAL // 2:
         raise PrecisionError(
             f"support size {n} exceeds {CDF_TOTAL // 2}; cannot give every symbol mass")
-    cum = np.zeros(n + 1)
-    np.add.accumulate(p, out=cum[1:])
-    cum *= CDF_TOTAL
-    np.floor(cum, out=cum)
+    cum = np.empty(n + 1)
+    cum[0] = 0.0
+    hi, lo = cum[1:], cum[:-1]
+    np.add.accumulate(p, out=hi)
+    np.multiply(hi, _TOTAL_F64, out=hi)
+    np.floor(hi, out=hi)
     # a NaN, negative or above-one total leaves counts that the repair
     # cannot make positive; the last cumulative shows it without a pass
     # over the row
-    if not 0.0 <= cum[-1] <= CDF_TOTAL:
-        raise ContractViolation(f"pmf cumulative {cum[-1] / CDF_TOTAL} is not in [0, 1]")
+    total = cum.item(n)
+    if not 0.0 <= total <= CDF_TOTAL:
+        raise ContractViolation(f"pmf cumulative {total / CDF_TOTAL} is not in [0, 1]")
     # the counts stay float64: a negative entry can leave cumulatives far
     # outside any integer type, and every count that passes the checks
     # below is an integer of at most 2^16, exact in float64
-    cum[-1] = CDF_TOTAL
+    cum[n] = CDF_TOTAL
     # a bin is non-empty where the cumulative rises; where a negative pmf
     # entry makes it fall, the bin counts as empty and is repaired below,
     # which shows the negative count
-    n_empty = n - int(np.count_nonzero(cum[1:] > cum[:-1]))
+    n_empty = n - int(np.count_nonzero(hi > lo))
     if n_empty == 0:
         return cum.astype(np.uint32)
-    counts = cum[1:] - cum[:-1]  # sums to exactly CDF_TOTAL
-    # The largest bin alone gives all E units when top - E >= second. On
-    # many rows the O(1) bound in the docstring shows it. On the rest, any
-    # other bin above top - E rules it out; on unimodal rows the top's
-    # neighbours hold the second count, so they are read before the full
-    # max. The top's slot reads 0 during the max: that raises the rest's
-    # maximum only where every other count is negative, and then top - E
-    # still exceeds it and the total check below raises.
+    counts = hi - lo  # sums to exactly CDF_TOTAL
+    # The three one-donor tests of the docstring, cheapest first. On
+    # unimodal rows the top's neighbours hold the second count, so they are
+    # read before R and the full max. The top's slot reads 0 during the
+    # max: that raises the rest's maximum only where every other count is
+    # negative, and then top - E still exceeds it and the total check below
+    # raises.
     j = int(counts.argmax())
     top = counts.item(j)
     cut = top - n_empty
     one_donor = cut >= CDF_TOTAL - top
-    if not one_donor and counts[j - 1] <= cut and counts[(j + 1) % n] <= cut:
-        counts[j] = 0
-        one_donor = cut >= counts.max()
-        counts[j] = top
+    if not one_donor:
+        left = counts.item(j - 1)
+        right = counts.item((j + 1) % n)
+        if left <= cut and right <= cut:
+            one_donor = CDF_TOTAL - top - left - right <= cut
+            if not one_donor:
+                counts[j] = 0
+                one_donor = cut >= counts.item(counts.argmax())
+                counts[j] = top
     if one_donor:
         counts[j] = cut
-        np.maximum(counts, 1, out=counts)
-        np.add.accumulate(counts, out=cum[1:])
-        if cum[-1] != CDF_TOTAL:
+        np.maximum(counts, _ONE_F64, out=counts)
+        np.add.accumulate(counts, out=hi)
+        if cum.item(n) != CDF_TOTAL:
             raise ContractViolation("pmf has a negative entry: its cumulative decreases")
         return cum.astype(np.uint32)
     # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
@@ -448,8 +473,8 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     np.minimum(counts, level, out=counts)
     if spare:
         counts[(counts == level).nonzero()[0][:spare]] = level - 1
-    np.maximum(counts, 1, out=counts)  # every donor kept >= 1: only empty bins are 0
-    np.add.accumulate(counts, out=cum[1:])
+    np.maximum(counts, _ONE_F64, out=counts)  # every donor kept >= 1: only empty bins are 0
+    np.add.accumulate(counts, out=hi)
     return cum.astype(np.uint32)
 
 

@@ -566,6 +566,38 @@ class TestDeterminizeReference:
         self.assert_same(*batch)
 
 
+# one row of counts per exit of build_cdf that returns a table, with the exit
+EXIT_ROWS = [
+    ([16384] * 4, "no-empty"),
+    ([0, 65536, 0, 0], "constant-time"),
+    ([0, 20000, 30000, 15536, 0, 0], "neighbour-bound"),
+    ([0, 30000, 0, 0, 20000, 15536], "full-maximum"),
+    ([30000, 0, 30000, 5536], "sort"),
+]
+
+# rows that raise after the cumulative, with the check that catches them
+RAISING_ROWS = [
+    ([0, 39321, 32768, -6553], "negative-constant-time"),
+    ([30000, 30000, 5537, -1], "negative-sort"),
+    ([39322] * 3, "total-above-one"),
+]
+
+
+def pmf_in_layout(pmf, layout):
+    """pmf passed in the given layout, and the buffer that holds it."""
+    if layout == "float64":
+        return pmf, pmf
+    if layout == "read-only":
+        view = pmf.view()
+        view.setflags(write=False)
+        return view, pmf
+    if layout == "strided":
+        base = np.repeat(pmf, 2)
+        return base[::2], base
+    x = pmf.astype(np.float32) if layout == "float32" else pmf.tolist()
+    return x, x
+
+
 class TestBuildCdf:
     def test_uniform_splits_exactly(self):
         cdf = E.build_cdf(np.full(256, 1.0 / 256.0))
@@ -626,6 +658,35 @@ class TestBuildCdf:
         w, mu, sd = random_gmm_params(rng, (), 3, E.LATENT_GRID)
         pmf = E.gmm_pmf_table(w, mu, sd, E.LATENT_GRID)
         np.testing.assert_array_equal(E.build_cdf(pmf), E.build_cdf(pmf.copy()))
+
+    @staticmethod
+    def outcome(pmf):
+        """build_cdf's table as bytes, or the type and message it raised."""
+        try:
+            return E.build_cdf(pmf).tobytes()
+        except (ContractViolation, PrecisionError) as e:
+            return type(e), str(e)
+
+    @pytest.mark.parametrize("layout", ["float64", "read-only", "strided", "float32", "list"])
+    @pytest.mark.parametrize("counts", [counts for counts, _ in EXIT_ROWS + RAISING_ROWS],
+                             ids=[path for _, path in EXIT_ROWS + RAISING_ROWS])
+    def test_input_only_read(self, counts, layout):
+        # every table exit and the raises after the cumulative: the outcome
+        # of a C-contiguous float64 copy, and the caller's bytes unchanged
+        # (the counts are dyadic, so float32 holds them exactly)
+        x, buffer = pmf_in_layout(np.array(counts) / E.CDF_TOTAL, layout)
+        before = np.array(buffer, copy=True)
+        expected = self.outcome(np.ascontiguousarray(x, dtype=np.float64))
+        assert self.outcome(x) == expected
+        np.testing.assert_array_equal(np.asarray(buffer), before)
+
+    @pytest.mark.parametrize("pmf", [[0, 0, 1, 0], [1], [0, 1, 0, -1, 1], [1, 1]],
+                             ids=["one-hot", "one-symbol", "negative", "total-above-one"])
+    def test_integer_input(self, pmf):
+        x = np.array(pmf, dtype=np.int64)
+        before = x.copy()
+        assert self.outcome(x) == self.outcome(x.astype(np.float64))
+        np.testing.assert_array_equal(x, before)
 
     def test_cdf_bits_at_support_ends(self):
         cdf = E.build_cdf(np.full(4, 0.25))
@@ -796,9 +857,26 @@ class TestBuildCdfOracle:
             E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
     @staticmethod
-    def meets_constant_time_test(counts):
-        """build_cdf's O(1) one-donor test: 2 * top - E >= 2^16."""
-        return 2 * max(counts) - sum(x <= 0 for x in counts) >= E.CDF_TOTAL
+    def exit_path(counts):
+        """The exit build_cdf takes for a row of counts, by the tests in its
+        docstring: no-empty, constant-time, neighbour-bound, full-maximum or
+        sort."""
+        c = list(counts)
+        n_empty = sum(x <= 0 for x in c)
+        if n_empty == 0:
+            return "no-empty"
+        top = max(c)
+        j = c.index(top)
+        cut = top - n_empty
+        if cut >= E.CDF_TOTAL - top:
+            return "constant-time"
+        left, right = c[j - 1], c[(j + 1) % len(c)]
+        if left <= cut and right <= cut:
+            if E.CDF_TOTAL - top - left - right <= cut:
+                return "neighbour-bound"
+            if max(c[:j] + c[j + 1:]) <= cut:
+                return "full-maximum"
+        return "sort"
 
     @pytest.mark.parametrize("counts, meets, one_donor", [
         ([0, 32769, 0, 16000, 16767], True, True),
@@ -811,9 +889,9 @@ class TestBuildCdfOracle:
             "2top-E=2^16-1-two-donors", "tied-top", "tied-top-two-empty"])
     def test_constant_time_one_donor_test(self, counts, meets, one_donor):
         # a row one unit short of the O(1) test still goes through the
-        # neighbours and the full maximum
+        # neighbour bound and the full maximum
         assert sum(counts) == E.CDF_TOTAL
-        assert self.meets_constant_time_test(counts) is meets
+        assert (self.exit_path(counts) == "constant-time") is meets
         assert self.one_donor(counts) is one_donor
         self.assert_same(np.array(counts) / E.CDF_TOTAL)
 
@@ -825,7 +903,54 @@ class TestBuildCdfOracle:
         # still shows it (test_negative_entry_in_one_donor_rows has rows
         # far above the bound)
         assert sum(counts) == E.CDF_TOTAL
-        assert self.meets_constant_time_test(counts)
+        assert self.exit_path(counts) == "constant-time"
+        with pytest.raises(ContractViolation, match="negative"):
+            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
+
+    @pytest.mark.parametrize("counts, path", EXIT_ROWS, ids=[path for _, path in EXIT_ROWS])
+    def test_every_exit_returns_native_uint32(self, counts, path):
+        # RangeDecoder.decode_symbol reads the table through one memoryview
+        assert self.exit_path(counts) == path
+        pmf = np.array(counts) / E.CDF_TOTAL
+        got = E.build_cdf(pmf)
+        assert got.ndim == 1 and got.flags.c_contiguous
+        assert got.dtype == np.uint32 and got.dtype.isnative
+        assert memoryview(got).format == "I"
+        self.assert_same(pmf)
+
+    @pytest.mark.parametrize("counts, path", [
+        # n <= 3 without a negative count: a row that misses the O(1) test
+        # has a tied top, so it reads the wrapped neighbours and sorts
+        ([0, 65536], "constant-time"),
+        ([65536, 0], "constant-time"),
+        ([32768, 32768, 0], "sort"),
+        ([0, 32768, 32768], "sort"),
+        ([32768, 0, 32768], "sort"),
+        # R = 2^16 - top - c[j-1] - c[j+1] = top - E = second
+        ([0, 2769, 30000, 2769, 29998, 0], "neighbour-bound"),
+        # R = top - E + 1 = second, below the top's index: two donors
+        ([0, 29999, 2768, 30000, 2769, 0], "sort"),
+        # R = top - E + 1, but split over two bins: one donor
+        ([0, 2768, 30000, 2769, 29997, 2, 0], "full-maximum"),
+        # the top at either end, its neighbour bound read across the wrap
+        ([30000, 2769, 0, 29998, 0, 2769], "neighbour-bound"),
+        ([2769, 0, 29998, 0, 2769, 30000], "neighbour-bound"),
+    ], ids=["n=2-first-empty", "n=2-last-empty", "n=3-tied-first", "n=3-tied-last",
+            "n=3-tied-ends", "R=top-E", "R=top-E+1-two-donors", "R=top-E+1-one-donor",
+            "top-first", "top-last"])
+    def test_neighbour_bound(self, counts, path):
+        assert sum(counts) == E.CDF_TOTAL
+        assert self.exit_path(counts) == path
+        self.assert_same(np.array(counts) / E.CDF_TOTAL)
+
+    @pytest.mark.parametrize("counts", [[0, 20000, 30000, 15537, -1, 0],
+                                        [0, 2768, 30001, 2768, 30000, -1]],
+                             ids=["R-negative", "second-above-top-E"])
+    def test_negative_entry_meeting_neighbour_bound(self, counts):
+        # a negative count makes R undercount the far bins, and second can
+        # exceed top - E; the repaired total still shows it
+        assert sum(counts) == E.CDF_TOTAL
+        assert self.exit_path(counts) == "neighbour-bound"
         with pytest.raises(ContractViolation, match="negative"):
             E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
