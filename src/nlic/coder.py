@@ -9,12 +9,12 @@ Every coded interval nests inside the initial [0, 2^32 - 1), so the byte
 above the first 32-bit window is always 0 and no carry reaches it. The
 encoder drops it and the decoder starts from the first 4 bytes.
 
-Container layout, version 2. A varint is canonical unsigned LEB128 below
+Container layout, version 3. A varint is canonical unsigned LEB128 below
 2^32: 7 bits per byte, low group first, the high bit set on every byte but
 the last, at most 5 bytes and no trailing zero group.
 
     magic   "NLIC"                          4 bytes
-    version u8 (currently 2)                1
+    version u8 (currently 3)                1
     width, height                           2 varints
     padded_w - width, padded_h - height     2 varints
     config_hash                             32 (sha256 of canonical config text)
@@ -24,7 +24,10 @@ the last, at most 5 bytes and no trailing zero group.
     crc32 of everything above               u32 little-endian (poly 0xEDB88320, reflected)
 
 A 16x16 image takes 7 varint bytes, so its header and CRC are 80 bytes.
-Version 1 (a fixed 98-byte header with a u16 version) is not read.
+Version 3 has the layout of version 2; the CDF tables changed from
+floor-and-repair to add-one quantization (entropy.build_cdf), so the same
+symbols code to other bytes. Versions 1 (a fixed 98-byte header with a u16
+version) and 2 are not read.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
 MAGIC = b"NLIC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _VARINT_MAX_BYTES = 5  # 5 x 7 bits cover 2^32 - 1
 
 

@@ -3,7 +3,7 @@
 Everything the coder consumes lives here: bin-integrated Gaussian-mixture
 probabilities with tail absorption, the learnable per-channel factorized
 prior for the hyper-latent, the train/inference quantizers, parameter
-determinization onto fixed lattices, and floor+repair fixed-point CDF
+determinization onto fixed lattices, and add-one fixed-point CDF
 construction. All public functions are pure over immutable inputs and safe
 to call concurrently.
 """
@@ -349,57 +349,52 @@ def determinize(weights, means, scales, grid: SymbolGrid):
 # ---------------------------------------------------------------------------
 
 
-# 0-d float64 operands for build_cdf's ufunc calls: numpy converts a Python
-# scalar operand again on every call, which costs as much as the call itself
-# on a 256-entry row
-_TOTAL_F64 = np.array(float(CDF_TOTAL))
-_ONE_F64 = np.array(1.0)
-_TOTAL_F64.setflags(write=False)
-_ONE_F64.setflags(write=False)
+# The largest total build_cdf accepts, exclusive: below it the last bin keeps
+# at least one unit. Bounding every entry by it first also keeps the float
+# cumulative finite.
+_TOTAL_BOUND = 1.0 + 2.0 ** -CDF_PRECISION
+
+
+@lru_cache(maxsize=None)
+def _cdf_grid(n: int):
+    """The scale 2^16 - n as a read-only 0-d float64 operand, and the offsets
+    0..n: numpy converts a Python scalar operand again on every call, which
+    costs as much as the multiply itself on a 256-entry row. build_cdf's
+    size check bounds the cache at 2^15 keys."""
+    scale = np.array(float(CDF_TOTAL - n))
+    offsets = np.arange(n + 1, dtype=np.uint32)
+    scale.setflags(write=False)
+    offsets.setflags(write=False)
+    return scale, offsets
 
 
 def build_cdf(pmf: np.ndarray) -> np.ndarray:
-    """Quantize a discrete pmf to a strictly increasing integer CDF.
+    """Quantize a discrete pmf to a strictly increasing integer CDF by add-one
+    quantization: every bin gets one unit and the other 2^16 - n units
+    follow the pmf (the "leaky" quantization of constriction, Bamler 2022,
+    arXiv:2201.01741), so no bin needs repair.
 
-    Floor-quantizes the cumulative onto 2^16 and then repairs the E empty
-    bins: each gets 1, taken one unit at a time from the currently largest
-    bin, ties to the lowest symbol index. Returns cum[0..n] as a 1-D,
-    C-contiguous, native-order uint32 array with cum[0] = 0, cum[n] = 2^16;
-    every symbol keeps probability >= 1/2^16. The input is only read, in any
-    layout and any real dtype. An empty pmf, a pmf whose floored total is
-    NaN or outside [0, 2^16], and one whose floored cumulative decreases
-    anywhere (a negative entry) raise ContractViolation.
+    With C_i = p[0] + ... + p[i-1], summed left to right in float64, and
+    M = 2^16 - n for n symbols, the table is
 
-    The steals are computed in closed form. A donor never falls below 1, so
-    a repaired bin (count 1) is never chosen again and only the originally
-    non-empty bins give mass. Taking E units from the largest of those, one
-    at a time, lowers them to a water level T: T is the smallest integer
-    with excess(T) = sum(max(0, c - T)) <= E. Every bin above T is cut to
-    T, and the remaining r = E - excess(T) units come from the r
-    lowest-index bins with count >= T, which is the order the one-at-a-time
-    steals take them in.
+        cum[0] = 0,  cum[i] = floor(C_i * M) + i for 0 < i < n,  cum[n] = 2^16,
 
-    Most repaired rows cut only the largest bin: when top - E >= second,
-    for top the largest count and second the largest of the rest, the
-    water level is top - E (or, at equality, second itself, which cuts the
-    same units), so that bin gives all E units and no sort is needed.
-    Three tests show it, cheapest first; each is exact for rows without a
-    negative count, whose counts are all >= 0 and sum to 2^16:
+    where C_i * M is the float64 product. Returns cum as a 1-D, C-contiguous,
+    native-order uint32 array. The input is only read, in any layout and any
+    real dtype. Bounds on the counts c_i = cum[i+1] - cum[i]:
 
-    - 2 * top - E >= 2^16. The other bins sum to 2^16 - top, so second is
-      at most 2^16 - top, which is then at most top - E.
-    - Neither neighbour of the top, c[j-1] and c[j+1] (wrapping at the
-      ends), exceeds top - E, and neither does R = 2^16 - top - c[j-1] -
-      c[j+1]. For n >= 4 the bins other than the top and its neighbours sum
-      to R, so none of them exceeds R. For n <= 3 there are no such bins,
-      and the neighbours are all of the rest.
-    - Neither neighbour exceeds top - E, and neither does the full maximum
-      of the rest.
+    - c_i >= 1: C, and so floor(C * M), does not decrease when no entry is
+      negative, and the offsets add one per bin.
+    - c_{n-1} >= 1 when the total C_n is below 1 + 2^-16: then C_{n-1} * M
+      <= C_n * M < M + 1, so cum[n-1] <= M + n - 1 = 2^16 - 1.
+    - |c_i - (M * p_i + 1)| < 1 up to the rounding of C and of the product;
+      the last bin also takes the mass a total below one leaves, as the
+      tail bins of gmm_pmf_table take theirs.
 
-    A negative entry makes its bin count as empty. On the general path the
-    sort shows the negative count; on the one-bin path, raising a count
-    c < 0 to 1 adds 1 - c instead of the 1 an empty bin takes, so the
-    repaired total exceeds 2^16, whichever test chose that path.
+    So the coded pmf is (1 - n/2^16) * p + 1/2^16 up to one unit per bin.
+    An empty pmf, a negative or NaN entry, and an entry or a total of at
+    least 1 + 2^-16 raise ContractViolation, before anything is scaled; more
+    than 2^15 symbols raise PrecisionError.
     """
     p = np.asarray(pmf, dtype=np.float64).ravel()
     n = p.size
@@ -408,74 +403,28 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
     if n > CDF_TOTAL // 2:
         raise PrecisionError(
             f"support size {n} exceeds {CDF_TOTAL // 2}; cannot give every symbol mass")
+    low = p.item(p.argmin())  # argmin returns the first NaN
+    if not low >= 0.0:
+        raise ContractViolation(
+            f"pmf has a negative or NaN entry {low}: its cumulative must not decrease")
+    high = p.item(p.argmax())
+    if not high < _TOTAL_BOUND:
+        raise ContractViolation(f"pmf entry {high} puts its cumulative at 1 + 2^-16 or above")
     cum = np.empty(n + 1)
     cum[0] = 0.0
-    hi, lo = cum[1:], cum[:-1]
-    np.add.accumulate(p, out=hi)
-    np.multiply(hi, _TOTAL_F64, out=hi)
-    np.floor(hi, out=hi)
-    # a NaN, negative or above-one total leaves counts that the repair
-    # cannot make positive; the last cumulative shows it without a pass
-    # over the row
+    np.add.accumulate(p, out=cum[1:])
     total = cum.item(n)
-    if not 0.0 <= total <= CDF_TOTAL:
-        raise ContractViolation(f"pmf cumulative {total / CDF_TOTAL} is not in [0, 1]")
-    # the counts stay float64: a negative entry can leave cumulatives far
-    # outside any integer type, and every count that passes the checks
-    # below is an integer of at most 2^16, exact in float64
-    cum[n] = CDF_TOTAL
-    # a bin is non-empty where the cumulative rises; where a negative pmf
-    # entry makes it fall, the bin counts as empty and is repaired below,
-    # which shows the negative count
-    n_empty = n - int(np.count_nonzero(hi > lo))
-    if n_empty == 0:
-        return cum.astype(np.uint32)
-    counts = hi - lo  # sums to exactly CDF_TOTAL
-    # The three one-donor tests of the docstring, cheapest first. On
-    # unimodal rows the top's neighbours hold the second count, so they are
-    # read before R and the full max. The top's slot reads 0 during the
-    # max: that raises the rest's maximum only where every other count is
-    # negative, and then top - E still exceeds it and the total check below
-    # raises.
-    j = int(counts.argmax())
-    top = counts.item(j)
-    cut = top - n_empty
-    one_donor = cut >= CDF_TOTAL - top
-    if not one_donor:
-        left = counts.item(j - 1)
-        right = counts.item((j + 1) % n)
-        if left <= cut and right <= cut:
-            one_donor = CDF_TOTAL - top - left - right <= cut
-            if not one_donor:
-                counts[j] = 0
-                one_donor = cut >= counts.item(counts.argmax())
-                counts[j] = top
-    if one_donor:
-        counts[j] = cut
-        np.maximum(counts, _ONE_F64, out=counts)
-        np.add.accumulate(counts, out=hi)
-        if cum.item(n) != CDF_TOTAL:
-            raise ContractViolation("pmf has a negative entry: its cumulative decreases")
-        return cum.astype(np.uint32)
-    # With s sorted descending, excess(s[k]) = sum(s[:k]) - k * s[k] is
-    # nondecreasing in k. The first m bins, those with excess(s[m]) > E,
-    # are cut, to T = ceil((sum(s[:m]) - E) / m).
-    s = np.sort(counts)[::-1]
-    if s[-1] < 0:
-        raise ContractViolation("pmf has a negative entry: its cumulative decreases")
-    top = np.add.accumulate(s)
-    m = int((top - np.arange(1, n + 1) * s).searchsorted(n_empty, side="right"))
-    cut = int(top[m - 1]) - n_empty
-    level = -(-cut // m)
-    spare = m * level - cut  # r: units still to take from bins at level T
-    if level - (spare > 0) < 1:
-        raise PrecisionError("cannot repair CDF: no bin has spare mass")
-    np.minimum(counts, level, out=counts)
-    if spare:
-        counts[(counts == level).nonzero()[0][:spare]] = level - 1
-    np.maximum(counts, _ONE_F64, out=counts)  # every donor kept >= 1: only empty bins are 0
-    np.add.accumulate(counts, out=hi)
-    return cum.astype(np.uint32)
+    if not total < _TOTAL_BOUND:
+        raise ContractViolation(f"pmf cumulative {total} is 1 + 2^-16 or above")
+    scale, offsets = _cdf_grid(n)
+    np.multiply(cum, scale, out=cum)
+    # every product is >= 0, so the cast truncates as floor would; the
+    # offsets are added after it, as a float sum could round up to the
+    # next integer
+    table = cum.astype(np.uint32)
+    np.add(table, offsets, out=table)
+    table[n] = CDF_TOTAL
+    return table
 
 
 def cdf_bits(cdf: np.ndarray, symbol_index: int) -> float:

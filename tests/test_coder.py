@@ -90,14 +90,13 @@ class TestRangeCoderRoundTrip:
         return cdfs, picks, symbols, enc.finish()
 
     def test_bytes_pinned(self):
-        # sha256 of the pinned stream; the digest was computed with the coder
-        # reading the CDF through int(cdf[i]) and np.searchsorted, before
-        # cdf.item and cdf.searchsorted replaced them, and with the stream's
-        # leading zero byte, which the encoder no longer writes: putting it
-        # back gives the same bytes
+        # sha256 of the pinned stream, with the leading zero byte the encoder
+        # no longer writes put back. The tables come from build_cdf, so the
+        # digest moved when its add-one rule replaced floor-and-repair; the
+        # encoder and decoder did not change
         cdfs, picks, symbols, data = self.pinned_stream()
         assert hashlib.sha256(b"\x00" + data).hexdigest() == (
-            "6947a9368cb167f9cb369ec6c449da04378fa4f62678cd1a30fd76da93b011ce")
+            "fbd8f7d95f3604e5e52dad86bcdd8b2d7a6707ce2b5790f58c5cf89f7b6da9be")
         dec = RangeDecoder(data)
         assert [dec.decode_symbol(cdfs[c]) for c in picks] == symbols
 
@@ -208,23 +207,24 @@ class TestContainer:
         assert (z, y, x) == (b"zz", b"yyy", b"xxxx")
 
     def test_header_size_frozen(self):
-        # the v2 layout byte for byte: 7 one-byte varints make a 16x16
-        # container with empty segments 80 bytes, header and CRC
+        # the v3 layout, that of v2, byte for byte: 7 one-byte varints make
+        # a 16x16 container with empty segments 80 bytes, header and CRC
         blob = write_container(self._header(), b"", b"", b"")
-        body = (b"NLIC" + bytes([2, 16, 16, 0, 0]) + bytes(range(64))
+        body = (b"NLIC" + bytes([3, 16, 16, 0, 0]) + bytes(range(64))
                 + bytes([0, 0, 0]))
         assert blob == body + struct.pack("<I", zlib.crc32(body))
         assert len(blob) == 80
 
     def test_bytes_pinned(self):
-        # multi-byte varints in the sizes and padding
+        # multi-byte varints in the sizes and padding; the digest moved with
+        # the version byte, from 2 to 3
         hdr = ContainerHeader(width=300, height=17, padded_w=304, padded_h=32,
                               config_hash=bytes(range(32)),
                               weight_hash=bytes(range(32, 64)))
         blob = write_container(hdr, b"zz", b"y" * 200, b"xxxx")
         assert blob[5:10] == bytes([0xAC, 0x02, 17, 4, 15])
         assert hashlib.sha256(blob).hexdigest() == (
-            "2fb8fb9e5256fcc614174d109bd3435e7d729380dde30c97f0982055bc91efcb")
+            "c26ce37d018d66b4a4964ca8b26cc8c3e7edac3b9514dd7f7ea5bcc540e5214f")
         assert read_container(blob) == (hdr, b"zz", b"y" * 200, b"xxxx")
 
     @staticmethod
@@ -273,6 +273,12 @@ class TestContainer:
                            bytes(range(32)), bytes(range(32, 64)), 0, 0, 0)
         with pytest.raises(VersionError, match="version 1"):
             read_container(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_v2_container_rejected(self):
+        # v2 has the v3 layout, but its segments were coded under the
+        # floor-and-repair tables
+        with pytest.raises(VersionError, match="version 2"):
+            read_container(self._raw(bytes([16, 16, 0, 0]), version=2))
 
     @pytest.mark.parametrize("sizes", [
         (16, 16, 15, 16), (16, 16, 16, 8), (-1, 16, 16, 16), (16, 16, 16, -16),

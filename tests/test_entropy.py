@@ -4,6 +4,9 @@ quantizers, determinization lattices."""
 import hashlib
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -566,19 +569,25 @@ class TestDeterminizeReference:
         self.assert_same(*batch)
 
 
-# one row of counts per exit of build_cdf that returns a table, with the exit
-EXIT_ROWS = [
+# rows of counts that return a table, each named for the exit the former
+# floor-and-repair build_cdf took for it: the add-one rule takes one path for
+# all of them, and they stay as rows of distinct shapes (no empty bin, one
+# bin, runs of empty bins, tied bins), with the all-zero row added
+TABLE_ROWS = [
     ([16384] * 4, "no-empty"),
     ([0, 65536, 0, 0], "constant-time"),
     ([0, 20000, 30000, 15536, 0, 0], "neighbour-bound"),
     ([0, 30000, 0, 0, 20000, 15536], "full-maximum"),
     ([30000, 0, 30000, 5536], "sort"),
+    ([0] * 4, "all-zero"),
 ]
 
-# rows that raise after the cumulative, with the check that catches them
+# rows that raise, with the check that catches them
 RAISING_ROWS = [
     ([0, 39321, 32768, -6553], "negative-constant-time"),
     ([30000, 30000, 5537, -1], "negative-sort"),
+    ([0, math.nan, 65536], "nan"),
+    ([0, math.inf, 0], "entry-above-one"),
     ([39322] * 3, "total-above-one"),
 ]
 
@@ -639,16 +648,34 @@ class TestBuildCdf:
         with pytest.raises(ContractViolation, match="cumulative"):
             E.build_cdf(np.array(pmf))
 
-    @pytest.mark.parametrize("pmf", [[0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0],
-                                     [1e20, -1e20, 0.5, 0.5], [-1e20, 1e20, 0.5, 0.5]],
-                             ids=["no-empty-bin", "empty-bin", "tiny-first", "huge-cancelling",
-                                  "huge-cancelling-negative-first"])
+    @pytest.mark.parametrize("pmf", [
+        [0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0], [1e20, -1e20, 0.5, 0.5],
+        [-1e20, 1e20, 0.5, 0.5],
+        # counts summing to 2^16 with one or more negative counts
+        *(np.array(counts) / E.CDF_TOTAL for counts in (
+            [0, 39321, 32768, -6553], [-3, 65539], [0, 65538, -1, -1], [0, 32769, 32769, -2],
+            [-1, 32769, 0, 32768], [0, 20000, 30000, 15537, -1, 0],
+            [0, 2768, 30001, 2768, 30000, -1]))],
+        ids=["no-empty-bin", "empty-bin", "tiny-first", "huge-cancelling",
+             "huge-cancelling-negative-first", "sum-one-negative-inside", "sum-one-negative-first",
+             "sum-one-two-negative", "sum-one-negative-after-tie", "sum-one-negative-first-of-4",
+             "sum-one-negative-before-empty", "sum-one-negative-last"])
     def test_negative_entry_rejected(self, pmf):
-        # the total stays in [0, 1], so only the counts show the negative
-        # entry; counts of 6.5e24 are beyond int64, and must raise before
-        # any cast to an integer type
+        # the total stays in [0, 1], so only the entry check shows the
+        # negative entry, before any scaling or cast to an integer type
         with pytest.raises(ContractViolation, match="negative"):
             E.build_cdf(np.array(pmf))
+
+    @pytest.mark.parametrize("pmf", [[1e308, 1e308], [1e305, -1e305, 1.0], [math.inf, 0.0],
+                                     [0.5, math.nan]],
+                             ids=["overflowing-total", "huge-negative", "inf", "nan"])
+    def test_invalid_entry_raises_without_warning(self, pmf):
+        # every entry is checked before the cumulative is summed or scaled,
+        # so no numpy warning comes before the ContractViolation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation):
+                E.build_cdf(np.array(pmf))
 
     def test_total_rounding_above_one_accepted(self):
         cdf = E.build_cdf(np.array([0.5, 0.5 + 1e-9]))
@@ -668,20 +695,22 @@ class TestBuildCdf:
             return type(e), str(e)
 
     @pytest.mark.parametrize("layout", ["float64", "read-only", "strided", "float32", "list"])
-    @pytest.mark.parametrize("counts", [counts for counts, _ in EXIT_ROWS + RAISING_ROWS],
-                             ids=[path for _, path in EXIT_ROWS + RAISING_ROWS])
+    @pytest.mark.parametrize("counts", [counts for counts, _ in TABLE_ROWS + RAISING_ROWS],
+                             ids=[name for _, name in TABLE_ROWS + RAISING_ROWS])
     def test_input_only_read(self, counts, layout):
-        # every table exit and the raises after the cumulative: the outcome
-        # of a C-contiguous float64 copy, and the caller's bytes unchanged
-        # (the counts are dyadic, so float32 holds them exactly)
+        # tables and every raise after the size checks: the outcome of a
+        # C-contiguous float64 copy, and the caller's bytes unchanged (the
+        # counts are dyadic, so float32 holds them exactly)
         x, buffer = pmf_in_layout(np.array(counts) / E.CDF_TOTAL, layout)
         before = np.array(buffer, copy=True)
         expected = self.outcome(np.ascontiguousarray(x, dtype=np.float64))
         assert self.outcome(x) == expected
         np.testing.assert_array_equal(np.asarray(buffer), before)
 
-    @pytest.mark.parametrize("pmf", [[0, 0, 1, 0], [1], [0, 1, 0, -1, 1], [1, 1]],
-                             ids=["one-hot", "one-symbol", "negative", "total-above-one"])
+    @pytest.mark.parametrize("pmf", [[0, 0, 1, 0], [1], [0, 0, 0], [0, 1, 0, -1, 1], [0, 2, 0],
+                                     [1, 1]],
+                             ids=["one-hot", "one-symbol", "all-zero", "negative",
+                                  "entry-above-one", "total-above-one"])
     def test_integer_input(self, pmf):
         x = np.array(pmf, dtype=np.int64)
         before = x.copy()
@@ -706,27 +735,17 @@ class TestBuildCdf:
             E.cdf_bits(np.array(cdf, dtype=np.uint32), 1)
 
 
-def _build_cdf_loop(pmf):
-    """Reference build_cdf: repairs empty bins one at a time, each taking 1
-    from the currently largest bin (np.argmax: ties to the lowest index)."""
-    p = np.asarray(pmf, dtype=np.float64)
-    n = p.size
-    if n > E.CDF_TOTAL // 2:
-        raise PrecisionError(
-            f"support size {n} exceeds {E.CDF_TOTAL // 2}; cannot give every symbol mass")
-    cum = np.floor(np.concatenate(([0.0], np.cumsum(p))) * E.CDF_TOTAL).astype(np.int64)
-    cum[0] = 0
-    cum[-1] = E.CDF_TOTAL
-    counts = np.diff(cum)
-    for i in np.flatnonzero(counts == 0):
-        j = int(np.argmax(counts))
-        if counts[j] < 2:
-            raise PrecisionError("cannot repair CDF: no bin has spare mass")
-        counts[j] -= 1
-        counts[i] += 1
-    out = np.zeros(n + 1, dtype=np.uint32)
-    np.cumsum(counts, out=out[1:])
-    return out
+def exact_cdf(pmf):
+    """Reference build_cdf in exact arithmetic: the float64 cumulative C_i,
+    summed left to right as build_cdf sums it, times 2^16 - n as a Fraction,
+    rounded once to float64 as build_cdf's product is, floored and offset by
+    i; the last entry is 2^16."""
+    p = [float(x) for x in np.asarray(pmf, dtype=np.float64).ravel()]
+    n = len(p)
+    scale = E.CDF_TOTAL - n
+    cum = [0.0, *accumulate(p)][:n]
+    out = [math.floor(float(Fraction(c) * scale)) + i for i, c in enumerate(cum)]
+    return np.array(out + [E.CDF_TOTAL], dtype=np.uint32)
 
 
 # mean offsets from the grid centre, in symbol steps: on a symbol, off it, on
@@ -760,35 +779,46 @@ def pinned_pmf_rows():
 
 @st.composite
 def dyadic_pmfs(draw):
-    """pmfs c / 2^16 whose floor-quantized counts are exactly c.
-
-    c has n >= 2 bins, a drawn share of them empty, and 1 <= t <= 8
-    largest bins at random positions that tie at B (the CDF_TOTAL % t units
-    left over go, one each, to the first of them, which tie one above B).
-    """
+    """pmfs c / 2^16 with integer counts c >= 0 summing to 2^16, over n >= 2
+    bins, a drawn share of them empty, and one bin at a random position
+    holding the rest. Their cumulatives and the products with 2^16 - n are
+    exact in float64."""
     n = draw(st.integers(2, 300))
-    n_top = draw(st.integers(1, min(n, 8)))
     empty_share = draw(st.floats(0.0, 1.0))
     small_max = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     counts = rng.integers(1, small_max, size=n, endpoint=True)
     counts[rng.random(n) < empty_share] = 0
-    top = np.sort(rng.permutation(n)[:n_top])
+    top = rng.integers(n)
     counts[top] = 0
-    rest = E.CDF_TOTAL - int(counts.sum())
-    counts[top] = rest // n_top
-    counts[top[:rest % n_top]] += 1
+    counts[top] = E.CDF_TOTAL - counts.sum()
     return counts / E.CDF_TOTAL
 
 
+@st.composite
+def zero_run_pmfs(draw):
+    """Float pmfs over n = 2..300 bins, from flat to sharply peaked, with up
+    to four runs of exact zeros, summing to one up to float rounding or
+    scaled to a drawn total below one."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.exponential(size=n) ** draw(st.floats(0.0, 30.0))
+    for _ in range(draw(st.integers(0, 4))):
+        start = rng.integers(n)
+        p[start:start + rng.integers(1, n, endpoint=True)] = 0.0
+    p[rng.integers(n)] += 1.0
+    return p / p.sum() * draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+
+
 class TestBuildCdfOracle:
-    """The closed-form build_cdf against the steal loop, bit for bit."""
+    """build_cdf against the exact reference, bit for bit, and the bounds of
+    its docstring."""
 
     @staticmethod
     def assert_same(pmf):
         got = E.build_cdf(pmf)
         assert got.dtype == np.uint32
-        np.testing.assert_array_equal(got, _build_cdf_loop(pmf))
+        np.testing.assert_array_equal(got, exact_cdf(pmf))
 
     @pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID], ids=["pixel", "latent"])
     def test_scale_ladder_rows(self, grid, rng):
@@ -799,118 +829,65 @@ class TestBuildCdfOracle:
         for pmf in rows:
             self.assert_same(pmf)
 
+    def test_pinned_rows(self):
+        for pmf in pinned_pmf_rows():
+            self.assert_same(pmf)
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(dyadic_pmfs())
     def test_random_counts(self, pmf):
         self.assert_same(pmf)
 
-    @pytest.mark.parametrize("counts, repaired", [
-        # n = 2, either side empty
-        ([0, 65536], [1, 65535]),
-        ([65536, 0], [65535, 1]),
-        # two tied largest bins, one empty bin: r = 1, the lower index gives
-        ([0, 30000, 30000, 5536], [1, 29999, 30000, 5536]),
-        # three empty bins cut bins 1 and 3 to T = 30767, and then r = 1
-        ([0, 30768, 0, 30768, 4000, 0], [1, 30766, 1, 30767, 4000, 1]),
-    ])
-    def test_ties_and_remainder(self, counts, repaired):
-        pmf = np.array(counts) / E.CDF_TOTAL
-        np.testing.assert_array_equal(np.diff(E.build_cdf(pmf).astype(np.int64)), repaired)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(zero_run_pmfs())
+    def test_random_pmfs(self, pmf):
         self.assert_same(pmf)
 
-    @staticmethod
-    def one_donor(counts):
-        """Whether the largest count alone gives all E units: top - E >= second."""
-        c = sorted(counts, reverse=True)
-        return c[0] - sum(x <= 0 for x in counts) >= c[1]
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(zero_run_pmfs(), dyadic_pmfs()))
+    def test_count_bounds(self, pmf):
+        # every count is one unit plus the pmf's share of the other
+        # 2^16 - n, within one unit; the last bin also takes the mass a
+        # total below one leaves
+        cdf = E.build_cdf(pmf).astype(np.int64)
+        assert cdf[0] == 0 and cdf[-1] == E.CDF_TOTAL
+        counts = np.diff(cdf)
+        assert counts.min() >= 1
+        scale = E.CDF_TOTAL - pmf.size
+        share = scale * pmf + 1.0
+        share[-1] += scale * (1.0 - pmf.sum())
+        assert np.abs(counts - share).max() < 1.0 + 1e-6
 
-    @pytest.mark.parametrize("counts, one_donor", [
-        ([0, 30003, 0, 30000, 5533, 0], True),
-        ([0, 30002, 0, 30000, 5534, 0], False),
-        ([30000, 0, 30000, 5536], False),
-        ([0, 40000, 0, 20000, 0, 5536], True),
-        ([0, 65536, 0, 0], True),
-        ([0] * 100 + [65536] + [0] * 155, True),
-        ([0] * 100 + [65000] + [0] * 154 + [536], True),
-        ([0] * 100 + [32895] + [0] * 154 + [32641], True),
-        ([0] * 100 + [32800] + [0] * 154 + [32736], False),
-        # the top's neighbours, wrapping at the ends, are read before the max
-        ([32000, 0, 1536, 32000], False),
-        ([0, 1535, 32000, 32001], True),
-        ([0, 32718, 99, 32719, 0], False),
-        ([0, 32717, 100, 32719, 0], True),
-    ], ids=["top-E=second", "top-E=second-1", "tied-top", "two-donors-one-cut",
-            "single-donor", "E=n-1", "E=n-2-small-second", "E=n-2-on-edge", "E=n-2-level",
-            "tied-top-at-ends", "top-last", "second-apart-top-E=second-1",
-            "second-apart-top-E=second"])
-    def test_largest_bin_alone(self, counts, one_donor):
-        assert sum(counts) == E.CDF_TOTAL
-        assert self.one_donor(counts) is one_donor
-        self.assert_same(np.array(counts) / E.CDF_TOTAL)
+    def test_all_zero_pmf(self):
+        # every bin keeps its unit and the last bin takes the missing mass,
+        # as the last bin of gmm_pmf_table takes the upper tail
+        for n in (1, 2, 255):
+            expected = np.append(np.arange(n), E.CDF_TOTAL)
+            np.testing.assert_array_equal(E.build_cdf(np.zeros(n)), expected)
+            self.assert_same(np.zeros(n))
 
-    @pytest.mark.parametrize("counts", [[0, 39321, 32768, -6553], [-3, 65539],
-                                        [0, 65538, -1, -1]],
-                             ids=["one-negative", "all-others-negative", "two-negative"])
-    def test_negative_entry_in_one_donor_rows(self, counts):
-        assert self.one_donor(counts)
-        with pytest.raises(ContractViolation, match="negative"):
-            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
+    def test_product_rounds_once(self):
+        # C_1 * (2^16 - 2) is just below 1 in exact arithmetic and rounds
+        # to 1.0 in float64: the table follows the float product
+        pmf = np.array([1.0 / 65534.0, 1.0 - 1.0 / 65534.0])
+        assert Fraction(pmf[0]) * 65534 < 1 and pmf[0] * 65534 == 1.0
+        np.testing.assert_array_equal(E.build_cdf(pmf), [0, 2, 65536])
+        self.assert_same(pmf)
 
-    @staticmethod
-    def exit_path(counts):
-        """The exit build_cdf takes for a row of counts, by the tests in its
-        docstring: no-empty, constant-time, neighbour-bound, full-maximum or
-        sort."""
-        c = list(counts)
-        n_empty = sum(x <= 0 for x in c)
-        if n_empty == 0:
-            return "no-empty"
-        top = max(c)
-        j = c.index(top)
-        cut = top - n_empty
-        if cut >= E.CDF_TOTAL - top:
-            return "constant-time"
-        left, right = c[j - 1], c[(j + 1) % len(c)]
-        if left <= cut and right <= cut:
-            if E.CDF_TOTAL - top - left - right <= cut:
-                return "neighbour-bound"
-            if max(c[:j] + c[j + 1:]) <= cut:
-                return "full-maximum"
-        return "sort"
+    def test_offsets_added_after_the_floor(self):
+        # C_130 * (2^16 - 255) is 894.9999999999999 in float64; adding the
+        # offset 130 in float64 would round the sum up to 1025.0
+        pmf = np.zeros(255)
+        pmf[0] = 0.013709961550834085
+        pmf[130] = 1.0 - pmf[0]
+        product = pmf[0] * (E.CDF_TOTAL - 255)
+        assert math.floor(product) + 130 == 1024 and product + 130 == 1025.0
+        assert E.build_cdf(pmf)[130] == 1024
+        self.assert_same(pmf)
 
-    @pytest.mark.parametrize("counts, meets, one_donor", [
-        ([0, 32769, 0, 16000, 16767], True, True),
-        ([32767, 0, 32769, 0], True, True),
-        ([0, 32768, 10000, 22768], False, True),
-        ([32767, 0, 32769, 0, 0], False, False),
-        ([32768, 0, 32768], False, False),
-        ([0, 32768, 0, 32768], False, False),
-    ], ids=["2top-E=2^16", "2top-E=2^16-second-at-level", "2top-E=2^16-1-one-donor",
-            "2top-E=2^16-1-two-donors", "tied-top", "tied-top-two-empty"])
-    def test_constant_time_one_donor_test(self, counts, meets, one_donor):
-        # a row one unit short of the O(1) test still goes through the
-        # neighbour bound and the full maximum
-        assert sum(counts) == E.CDF_TOTAL
-        assert (self.exit_path(counts) == "constant-time") is meets
-        assert self.one_donor(counts) is one_donor
-        self.assert_same(np.array(counts) / E.CDF_TOTAL)
-
-    @pytest.mark.parametrize("counts", [[0, 32769, 32769, -2], [-1, 32769, 0, 32768]],
-                             ids=["tied-top", "second-above-top-E"])
-    def test_negative_entry_meeting_constant_time_test(self, counts):
-        # 2 * top - E = 2^16, but a negative count lets the other bins sum
-        # above 2^16 - top and second exceed top - E; the repaired total
-        # still shows it (test_negative_entry_in_one_donor_rows has rows
-        # far above the bound)
-        assert sum(counts) == E.CDF_TOTAL
-        assert self.exit_path(counts) == "constant-time"
-        with pytest.raises(ContractViolation, match="negative"):
-            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
-
-    @pytest.mark.parametrize("counts, path", EXIT_ROWS, ids=[path for _, path in EXIT_ROWS])
-    def test_every_exit_returns_native_uint32(self, counts, path):
+    @pytest.mark.parametrize("counts, name", TABLE_ROWS, ids=[name for _, name in TABLE_ROWS])
+    def test_every_exit_returns_native_uint32(self, counts, name):
         # RangeDecoder.decode_symbol reads the table through one memoryview
-        assert self.exit_path(counts) == path
         pmf = np.array(counts) / E.CDF_TOTAL
         got = E.build_cdf(pmf)
         assert got.ndim == 1 and got.flags.c_contiguous
@@ -918,61 +895,23 @@ class TestBuildCdfOracle:
         assert memoryview(got).format == "I"
         self.assert_same(pmf)
 
-    @pytest.mark.parametrize("counts, path", [
-        # n <= 3 without a negative count: a row that misses the O(1) test
-        # has a tied top, so it reads the wrapped neighbours and sorts
-        ([0, 65536], "constant-time"),
-        ([65536, 0], "constant-time"),
-        ([32768, 32768, 0], "sort"),
-        ([0, 32768, 32768], "sort"),
-        ([32768, 0, 32768], "sort"),
-        # R = 2^16 - top - c[j-1] - c[j+1] = top - E = second
-        ([0, 2769, 30000, 2769, 29998, 0], "neighbour-bound"),
-        # R = top - E + 1 = second, below the top's index: two donors
-        ([0, 29999, 2768, 30000, 2769, 0], "sort"),
-        # R = top - E + 1, but split over two bins: one donor
-        ([0, 2768, 30000, 2769, 29997, 2, 0], "full-maximum"),
-        # the top at either end, its neighbour bound read across the wrap
-        ([30000, 2769, 0, 29998, 0, 2769], "neighbour-bound"),
-        ([2769, 0, 29998, 0, 2769, 30000], "neighbour-bound"),
-    ], ids=["n=2-first-empty", "n=2-last-empty", "n=3-tied-first", "n=3-tied-last",
-            "n=3-tied-ends", "R=top-E", "R=top-E+1-two-donors", "R=top-E+1-one-donor",
-            "top-first", "top-last"])
-    def test_neighbour_bound(self, counts, path):
-        assert sum(counts) == E.CDF_TOTAL
-        assert self.exit_path(counts) == path
-        self.assert_same(np.array(counts) / E.CDF_TOTAL)
-
-    @pytest.mark.parametrize("counts", [[0, 20000, 30000, 15537, -1, 0],
-                                        [0, 2768, 30001, 2768, 30000, -1]],
-                             ids=["R-negative", "second-above-top-E"])
-    def test_negative_entry_meeting_neighbour_bound(self, counts):
-        # a negative count makes R undercount the far bins, and second can
-        # exceed top - E; the repaired total still shows it
-        assert sum(counts) == E.CDF_TOTAL
-        assert self.exit_path(counts) == "neighbour-bound"
-        with pytest.raises(ContractViolation, match="negative"):
-            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
-
     def test_support_limit(self):
         half = E.CDF_TOTAL // 2
         delta = np.zeros(half)
         delta[half // 3] = 1.0
         self.assert_same(delta)
-        for build in (E.build_cdf, _build_cdf_loop):
-            with pytest.raises(PrecisionError, match="exceeds"):
-                build(np.full(half + 1, 1.0 / (half + 1)))
+        with pytest.raises(PrecisionError, match="exceeds"):
+            E.build_cdf(np.full(half + 1, 1.0 / (half + 1)))
 
     def test_bytes_pinned(self):
         # sha256 of the uint32 little-endian tables of pinned_pmf_rows(),
-        # concatenated. The digest was computed with the steal-loop
-        # build_cdf (_build_cdf_loop above), before the closed form
-        # replaced it; any change to the tables changes the coded bytes.
+        # concatenated, under the add-one rule; any change to the tables
+        # changes the coded bytes
         digest = hashlib.sha256()
         for pmf in pinned_pmf_rows():
             digest.update(E.build_cdf(pmf).astype("<u4").tobytes())
         assert digest.hexdigest() == (
-            "4463c2d229d6b59ef3e643211719614244aaa570f6de8ff5cafe29c6ddbff370")
+            "35de17478ae54d109312912c3debca3d56aae0411e090ce51e234f81040dd5bf")
 
 
 class TestSymbolGrid:
