@@ -648,18 +648,10 @@ class TestBuildCdf:
         with pytest.raises(ContractViolation, match="cumulative"):
             E.build_cdf(np.array(pmf))
 
-    @pytest.mark.parametrize("pmf", [
-        [0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0], [1e20, -1e20, 0.5, 0.5],
-        [-1e20, 1e20, 0.5, 0.5],
-        # counts summing to 2^16 with one or more negative counts
-        *(np.array(counts) / E.CDF_TOTAL for counts in (
-            [0, 39321, 32768, -6553], [-3, 65539], [0, 65538, -1, -1], [0, 32769, 32769, -2],
-            [-1, 32769, 0, 32768], [0, 20000, 30000, 15537, -1, 0],
-            [0, 2768, 30001, 2768, 30000, -1]))],
-        ids=["no-empty-bin", "empty-bin", "tiny-first", "huge-cancelling",
-             "huge-cancelling-negative-first", "sum-one-negative-inside", "sum-one-negative-first",
-             "sum-one-two-negative", "sum-one-negative-after-tie", "sum-one-negative-first-of-4",
-             "sum-one-negative-before-empty", "sum-one-negative-last"])
+    @pytest.mark.parametrize("pmf", [[0.6, 0.6, -0.2], [0.6, 0.6, 0.0, -0.2], [-1e-10, 1.0],
+                                     [1e20, -1e20, 0.5, 0.5], [-1e20, 1e20, 0.5, 0.5]],
+                             ids=["no-empty-bin", "empty-bin", "tiny-first", "huge-cancelling",
+                                  "huge-cancelling-negative-first"])
     def test_negative_entry_rejected(self, pmf):
         # the total stays in [0, 1], so only the entry check shows the
         # negative entry, before any scaling or cast to an integer type
@@ -884,6 +876,113 @@ class TestBuildCdfOracle:
         assert math.floor(product) + 130 == 1024 and product + 130 == 1025.0
         assert E.build_cdf(pmf)[130] == 1024
         self.assert_same(pmf)
+
+    @classmethod
+    def assert_count_row(cls, counts):
+        """A row of integer counts summing to 2^16, none negative: the exact
+        reference, one unit for each empty bin, and every count within one
+        unit of its share (2^16 - n) * p_i + 1 (the products are exact)."""
+        assert sum(counts) == E.CDF_TOTAL
+        pmf = np.array(counts) / E.CDF_TOTAL
+        cls.assert_same(pmf)
+        coded = np.diff(E.build_cdf(pmf).astype(np.int64))
+        np.testing.assert_array_equal(coded[pmf == 0], 1)
+        share = (E.CDF_TOTAL - pmf.size) * pmf + 1.0
+        assert np.abs(coded - share).max() < 1.0
+        return coded
+
+    @pytest.mark.parametrize("counts, repaired", [
+        # n = 2, either side empty
+        ([0, 65536], [1, 65535]),
+        ([65536, 0], [65535, 1]),
+        # two tied largest bins and one empty bin: the ties stay tied, and
+        # the floors' remainder goes to the last bin
+        ([0, 30000, 30000, 5536], [1, 29999, 29999, 5537]),
+        # three empty bins between and after two tied bins
+        ([0, 30768, 0, 30768, 4000, 0], [1, 30766, 1, 30766, 4001, 1]),
+    ])
+    def test_ties_and_remainder(self, counts, repaired):
+        # repaired: the coded counts, every empty bin holding its one unit
+        np.testing.assert_array_equal(self.assert_count_row(counts), repaired)
+
+    @pytest.mark.parametrize("counts", [
+        [0, 30003, 0, 30000, 5533, 0],
+        [0, 30002, 0, 30000, 5534, 0],
+        [30000, 0, 30000, 5536],
+        [0, 40000, 0, 20000, 0, 5536],
+        [0, 65536, 0, 0],
+        [0] * 100 + [65536] + [0] * 155,
+        [0] * 100 + [65000] + [0] * 154 + [536],
+        [0] * 100 + [32895] + [0] * 154 + [32641],
+        [0] * 100 + [32800] + [0] * 154 + [32736],
+        [32000, 0, 1536, 32000],
+        [0, 1535, 32000, 32001],
+        [0, 32718, 99, 32719, 0],
+        [0, 32717, 100, 32719, 0],
+    ], ids=["top-E=second", "top-E=second-1", "tied-top", "two-donors-one-cut",
+            "single-donor", "E=n-1", "E=n-2-small-second", "E=n-2-on-edge", "E=n-2-level",
+            "tied-top-at-ends", "top-last", "second-apart-top-E=second-1",
+            "second-apart-top-E=second"])
+    def test_largest_bin_alone(self, counts):
+        # rows with E empty bins and one or two bins near the top: the
+        # largest bin does not give the E units alone, it gives its share of
+        # all n units, as every other bin does
+        self.assert_count_row(counts)
+
+    @pytest.mark.parametrize("counts", [
+        # n <= 3 and ties
+        [0, 65536],
+        [65536, 0],
+        [32768, 32768, 0],
+        [0, 32768, 32768],
+        [32768, 0, 32768],
+        # the top with small neighbours and runs of empty bins
+        [0, 2769, 30000, 2769, 29998, 0],
+        [0, 29999, 2768, 30000, 2769, 0],
+        [0, 2768, 30000, 2769, 29997, 2, 0],
+        # the top at either end
+        [30000, 2769, 0, 29998, 0, 2769],
+        [2769, 0, 29998, 0, 2769, 30000],
+    ], ids=["n=2-first-empty", "n=2-last-empty", "n=3-tied-first", "n=3-tied-last",
+            "n=3-tied-ends", "R=top-E", "R=top-E+1-two-donors", "R=top-E+1-one-donor",
+            "top-first", "top-last"])
+    def test_neighbour_bound(self, counts):
+        # the first and the last bin are pinned by cum[0] = 0 and
+        # cum[n] = 2^16, not by the floor: they follow the same bounds, and
+        # tied bins keep counts within one unit of each other
+        coded = self.assert_count_row(counts)
+        for value in set(counts):
+            tied = coded[np.array(counts) == value]
+            assert tied.max() - tied.min() <= 1
+
+    @pytest.mark.parametrize("counts", [[0, 39321, 32768, -6553], [-3, 65539],
+                                        [0, 65538, -1, -1]],
+                             ids=["one-negative", "all-others-negative", "two-negative"])
+    def test_negative_entry_in_one_donor_rows(self, counts):
+        # counts summing to 2^16, one bin above it and one or more negative:
+        # the total is one, so only the entry check shows them
+        assert sum(counts) == E.CDF_TOTAL
+        with pytest.raises(ContractViolation, match="negative"):
+            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
+
+    @pytest.mark.parametrize("counts", [[0, 32769, 32769, -2], [-1, 32769, 0, 32768]],
+                             ids=["tied-top", "second-above-top-E"])
+    def test_negative_entry_meeting_constant_time_test(self, counts):
+        # two bins at or just above 2^15 and a small negative count: the
+        # total is one and no entry is above one
+        assert sum(counts) == E.CDF_TOTAL
+        with pytest.raises(ContractViolation, match="negative"):
+            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
+
+    @pytest.mark.parametrize("counts", [[0, 20000, 30000, 15537, -1, 0],
+                                        [0, 2768, 30001, 2768, 30000, -1]],
+                             ids=["R-negative", "second-above-top-E"])
+    def test_negative_entry_meeting_neighbour_bound(self, counts):
+        # a count of -1 beside an empty bin or at the end of the row: the
+        # cumulative still ends at one
+        assert sum(counts) == E.CDF_TOTAL
+        with pytest.raises(ContractViolation, match="negative"):
+            E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
     @pytest.mark.parametrize("counts, name", TABLE_ROWS, ids=[name for _, name in TABLE_ROWS])
     def test_every_exit_returns_native_uint32(self, counts, name):
