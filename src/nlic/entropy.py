@@ -94,13 +94,13 @@ NDTR_ONE_Z = 8.5
 
 
 def _mixture(weights, means, scales):
-    """float64 (w, mu, sd), checked once per call: means and scales share one
-    shape [..., K] and weights end in the same K; means are finite, scales
-    finite and positive, weights finite and nonnegative."""
+    """float64 (w, mu, sd), checked once per call: all three share one shape
+    [..., K]; means are finite, scales finite and positive, weights finite
+    and nonnegative."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     sd = np.asarray(scales, dtype=np.float64)
-    if mu.ndim < 1 or w.ndim < 1 or mu.shape != sd.shape or w.shape[-1] != mu.shape[-1]:
+    if mu.ndim < 1 or not w.shape == mu.shape == sd.shape:
         raise ContractViolation(
             f"mixture shapes differ: weights {w.shape}, means {mu.shape}, scales {sd.shape}")
     if not np.isfinite(mu).all():
@@ -282,7 +282,8 @@ def round_quantize(values, grid: SymbolGrid) -> QuantizeResult:
     n_nan = int(np.count_nonzero(np.isnan(arr)))
     if n_nan:
         raise ContractViolation(f"cannot quantize {n_nan} NaN values")
-    rounded = np.copysign(np.floor(np.abs(arr) + 0.5), arr)
+    frac, whole = np.modf(arr)  # exact, where |x| + 0.5 rounds 0.5 - 2^-54 up
+    rounded = whole + np.sign(frac) * (np.abs(frac) >= 0.5)
     clamped = np.clip(rounded, grid.lo, grid.hi)
     clamp_count = int(np.count_nonzero(rounded != clamped))
     return QuantizeResult(symbols=clamped.astype(np.int32), clamp_count=clamp_count)

@@ -28,17 +28,20 @@ WEIGHTS_MAGIC = b"NLW2"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structural knobs. Paper-scale values sit in comments next to the
-    desk-scale defaults used throughout the tests."""
+    """The settable architecture: sizes, and the ablations of the paper's
+    additions (attention, the pixel context, the mixture count). Paper-scale
+    values sit in comments next to the desk-scale defaults of the tests. The
+    context kernels are fixed: `Model.ctx_y` is always a 5x5 mask-A conv, as
+    in the lossy base model, and the pixel kernel is `mask_kernel_x`."""
 
     filters_n: int = 32          # paper: 192
     mixtures_k: int = 3          # paper: 3
-    mask_kernel_x: int = 7       # pixel context kernel, 5 or 7
     use_attention: bool = True
-    use_context_y: bool = True
     use_context_x: bool = True
     downsample_factor: int = 4   # total spatial stride of the analysis transform
     hyper_downsample: int = 4    # additional stride of the hyper analysis
+
+    mask_kernel_x = 7            # a class constant, not a field
 
     def __post_init__(self):
         # exact types, so one config has one canonical text and one hash
@@ -56,8 +59,6 @@ class ModelConfig:
             v = getattr(self, name)
             if not 2 <= v <= 64 or (v & (v - 1)) != 0:
                 raise ConfigError(f"{name} must be a power of two in [2, 64], got {v}")
-        if self.mask_kernel_x not in (5, 7):
-            raise ConfigError(f"mask_kernel_x must be 5 or 7, got {self.mask_kernel_x}")
 
     @property
     def total_downsample(self) -> int:
@@ -75,37 +76,24 @@ def canonical_config_text(config: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BOOL_LITERALS = {"true": True, "1": True, "yes": True,
-                  "false": False, "0": False, "no": False}
-
-
 def parse_config_text(text: str) -> ModelConfig:
-    """Inverse of canonical_config_text. Raises ConfigError for an unknown
-    or duplicated key, a non-integer value, or a bool other than
-    true/false/1/0/yes/no (any case)."""
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ConfigError(f"model config key {key!r} is given twice")
-        values[key] = raw.strip()
+    """Inverse of canonical_config_text that accepts only canonical text:
+    any other spelling of a config raises ConfigError, so a weights file
+    that loads hashes as the model it loads."""
+    types = {f.name: f.type for f in fields(ModelConfig)}
     kwargs = {}
-    for f in fields(ModelConfig):
-        raw = values.pop(f.name, None)
-        if raw is None:
-            continue
+    for line in text.splitlines():
+        key, _, raw = line.partition("=")
+        if key not in types:
+            raise ConfigError(f"unknown model config key {key!r}")
         try:
-            kwargs[f.name] = _BOOL_LITERALS[raw.lower()] if f.type == "bool" else int(raw)
+            kwargs[key] = {"true": True, "false": False}[raw] if types[key] == "bool" else int(raw)
         except (KeyError, ValueError):
-            raise ConfigError(f"{f.name}={raw!r} is not a valid {f.type} "
-                              "(bools: true/false/1/0/yes/no)") from None
-    if values:
-        raise ConfigError(f"unknown model config keys: {sorted(values)}")
-    return ModelConfig(**kwargs)
+            raise ConfigError(f"{key}={raw!r} is not a valid {types[key]}") from None
+    config = ModelConfig(**kwargs)
+    if (want := canonical_config_text(config)) != text:
+        raise ConfigError(f"model config text is not canonical; for its values it is {want!r}")
+    return config
 
 
 def config_hash(config: ModelConfig) -> bytes:
@@ -268,7 +256,7 @@ class Model:
         self.hs_out = Conv2d(store, "hs.out", n, 2 * n, 3)
 
         # context models + entropy parameter heads
-        self.ctx_y = MaskedConv2d(store, "ctx_y", n, n, 5) if config.use_context_y else None
+        self.ctx_y = MaskedConv2d(store, "ctx_y", n, n, 5)
         self.ctx_x = (MaskedConv2d(store, "ctx_x", 3, n, config.mask_kernel_x)
                       if config.use_context_x else None)
         self.head_y1 = Conv2d(store, "head_y.conv1", 3 * n, 3 * n, 1)
@@ -336,12 +324,10 @@ class Model:
 
     def synthesis(self, y: Tensor) -> Tensor:
         h = self.gs_res(T.leaky_relu(self.gs_in(y)))
-        if self.gs_attn is not None and self.gs_attn_after == 0:
-            h = self.gs_attn(h)
         for i, up in enumerate(self.gs_ups):
-            h = T.leaky_relu(up(h))
-            if self.gs_attn is not None and i + 1 == self.gs_attn_after:
+            if self.gs_attn is not None and i == self.gs_attn_after:
                 h = self.gs_attn(h)
+            h = T.leaky_relu(up(h))
         return self.gs_out(h)
 
     def hyper_analysis(self, y: Tensor) -> Tensor:
@@ -420,8 +406,8 @@ def serialize_weights(model: Model) -> bytes:
 def deserialize_weights(blob: bytes) -> Model:
     """Inverse of serialize_weights. Raises TruncationError for a blob shorter
     than its config declares; IntegrityError for a bad magic, a longer blob or
-    a CRC mismatch; ConfigError for config text that is not UTF-8 or does not
-    parse. No weight is allocated before the CRC passes."""
+    a CRC mismatch; ConfigError for config text that is not UTF-8 or not
+    canonical. No weight is allocated before the CRC passes."""
     if len(blob) < 8:
         raise TruncationError(f"weights file of {len(blob)} bytes is too short")
     if blob[:4] != WEIGHTS_MAGIC:

@@ -324,6 +324,7 @@ class TestMixtureContract:
     @pytest.mark.parametrize("w_shape, mu_shape, sd_shape", [
         ((4, 2), (4, 3), (4, 3)), ((4, 3), (4, 2), (4, 3)), ((4, 3), (4, 3), (4, 2)),
         ((1,), (4, 1), (1,)),  # means and scales must share one shape
+        ((2, 3), (5, 3), (5, 3)),  # weights too, not only their K
     ])
     def test_mismatched_shapes_rejected(self, w_shape, mu_shape, sd_shape):
         with pytest.raises(ContractViolation, match="shapes"):
@@ -403,8 +404,12 @@ class TestQuantizers:
         np.testing.assert_array_equal(a, b)
 
     def test_round_half_away_from_zero(self):
-        res = E.round_quantize(np.array([0.5, -0.5, 0.49, -0.49, 1.5, -2.5]), E.LATENT_GRID)
-        np.testing.assert_array_equal(res.symbols, [1, -1, 0, 0, 2, -3])
+        # 0.49999999999999994 is the largest double below 0.5: adding 0.5 to
+        # it rounds the sum up to 1.0
+        below_half = np.nextafter(0.5, 0.0)
+        res = E.round_quantize(np.array([0.5, -0.5, 0.49, -0.49, 1.5, -2.5,
+                                         below_half, -below_half]), E.LATENT_GRID)
+        np.testing.assert_array_equal(res.symbols, [1, -1, 0, 0, 2, -3, 0, 0])
         assert res.clamp_count == 0
 
     def test_idempotent_on_integers(self, rng):

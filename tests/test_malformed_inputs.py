@@ -2,7 +2,9 @@
 truncations and single-byte changes of a valid input either parse or raise
 an NlicError subclass, never a builtin exception."""
 
+import hashlib
 import struct
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from nlic import entropy as E
 from nlic.coder import ContainerHeader, RangeDecoder, RangeEncoder, read_container, write_container
-from nlic.errors import NlicError
+from nlic.errors import ConfigError, NlicError
 from nlic.network import (
     ModelConfig,
     canonical_config_text,
@@ -19,6 +21,7 @@ from nlic.network import (
     init_weights,
     parse_config_text,
     serialize_weights,
+    weight_hash,
 )
 
 FUZZ = settings(max_examples=200, deadline=None, database=None)
@@ -101,7 +104,12 @@ CONFIG_KEYS = [f.name for f in fields(ModelConfig)]
 @FUZZ
 @given(mutations(CONFIG_TEXT))
 def test_parse_config_text(text):
-    parses_or_raises_nlic_error(parse_config_text, text)
+    # only canonical text parses: anything else raises ConfigError
+    try:
+        config = parse_config_text(text)
+    except ConfigError:
+        return
+    assert canonical_config_text(config) == text
 
 
 WEIGHTS_CONFIG = ModelConfig(filters_n=4, mixtures_k=1, downsample_factor=2,
@@ -126,3 +134,26 @@ config_digits = st.builds(_with_config_value, st.sampled_from(CONFIG_KEYS),
 @given(st.one_of(mutations(WEIGHTS), config_digits))
 def test_deserialize_weights(blob):
     parses_or_raises_nlic_error(deserialize_weights, blob)
+
+
+def _with_config_text(text):
+    """WEIGHTS with its config text replaced, and the length prefix and CRC
+    recomputed, so only the config text decides whether it loads."""
+    (cfg_len,) = struct.unpack_from("<I", WEIGHTS, 4)
+    raw = text.encode("utf-8", "surrogatepass")
+    body = WEIGHTS[:4] + struct.pack("<I", len(raw)) + raw + WEIGHTS[8 + cfg_len:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+WEIGHTS_TEXT = canonical_config_text(WEIGHTS_CONFIG)
+
+
+@FUZZ
+@given(st.one_of(st.just(WEIGHTS_TEXT), mutations(WEIGHTS_TEXT)).map(_with_config_text))
+def test_loaded_weights_hash_as_their_file(blob):
+    # a blob either raises or is the one serialization of the model it loads
+    try:
+        model = deserialize_weights(blob)
+    except NlicError:
+        return
+    assert weight_hash(model) == hashlib.sha256(blob).digest()

@@ -5,9 +5,12 @@ config text and weight serialization."""
 import hashlib
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlic import entropy as E
 from nlic import tensor as T
@@ -70,8 +73,6 @@ class TestConfig:
             ModelConfig(filters_n=2)
         with pytest.raises(ConfigError):
             ModelConfig(downsample_factor=3)
-        with pytest.raises(ConfigError):
-            ModelConfig(mask_kernel_x=3)
 
     @pytest.mark.parametrize("key, value", [
         ("filters_n", 2 ** 17 + 1), ("filters_n", 3_000_000_000), ("mixtures_k", 65),
@@ -93,26 +94,54 @@ class TestConfig:
         assert Model(cfg).params["head_y.conv2.w"].shape == (3 * 64 * n, 3 * n, 1, 1)
 
     @pytest.mark.parametrize("key, value", [
-        ("use_attention", 1), ("use_context_x", "no"), ("use_context_y", None),
-        ("filters_n", 8.0), ("filters_n", True), ("mixtures_k", np.int64(2)),
-        ("mask_kernel_x", 7.0)])
+        ("use_attention", 1), ("use_context_x", "no"), ("hyper_downsample", 4.0),
+        ("filters_n", 8.0), ("filters_n", True), ("mixtures_k", np.int64(2))])
     def test_field_types_exact(self, key, value):
         # use_attention=1 compares equal to the default but would hash
-        # differently; filters_n=8.0 writes text its own parser rejects;
-        # use_context_x="no" is truthy but its text parses back to false
+        # differently; filters_n=8.0 and use_context_x="no" (truthy) write
+        # text their own parser rejects
         with pytest.raises(ConfigError, match=key):
             ModelConfig(**{key: value})
 
+    def test_fields(self):
+        assert [f.name for f in fields(ModelConfig)] == [
+            "filters_n", "mixtures_k", "use_attention", "use_context_x",
+            "downsample_factor", "hyper_downsample"]
+        assert ModelConfig.mask_kernel_x == ModelConfig().mask_kernel_x == 7
+
     def test_default_text_pinned(self):
         assert canonical_config_text(ModelConfig()) == (
-            "downsample_factor=4\nfilters_n=32\nhyper_downsample=4\nmask_kernel_x=7\n"
-            "mixtures_k=3\nuse_attention=true\nuse_context_x=true\nuse_context_y=true\n")
+            "downsample_factor=4\nfilters_n=32\nhyper_downsample=4\nmixtures_k=3\n"
+            "use_attention=true\nuse_context_x=true\n")
         assert config_hash(ModelConfig()).hex() == (
-            "a267ffa9e8ee9ca74d316d1eb718f7db673510d9f124b310de3881a4865261b6")
+            "0e7dc2c763e72141fbe2259af2bcc11a6961f89eea2ef2dd603bdc340ea0524e")
 
-    def test_canonical_text_round_trip(self):
-        cfg = ModelConfig(filters_n=16, use_attention=False, mask_kernel_x=5)
+    @given(st.builds(ModelConfig, filters_n=st.integers(4, 1 << 17),
+                     mixtures_k=st.integers(1, 64), use_attention=st.booleans(),
+                     use_context_x=st.booleans(),
+                     downsample_factor=st.sampled_from([2, 4, 8, 16, 32, 64]),
+                     hyper_downsample=st.sampled_from([2, 4, 8, 16, 32, 64])))
+    @example(ModelConfig(filters_n=16, use_attention=False))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_canonical_text_round_trip(self, cfg):
         assert parse_config_text(canonical_config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: "# nlic model\n" + t,
+        lambda t: t.replace("filters_n=32\n", "filters_n=32\n\n"),
+        lambda t: "".join(t.splitlines(True)[i] for i in (1, 0, 2, 3, 4, 5)),
+        lambda t: t.replace("filters_n=32", "filters_n=032"),
+        lambda t: t.replace("mixtures_k=3\n", ""),
+        lambda t: t.replace("filters_n=32\n", "filters_n=32 \n"),
+        lambda t: t.replace("\n", "\r\n"),
+    ], ids=["comment", "blank-line", "keys-swapped", "leading-zero",
+            "missing-key", "trailing-space", "crlf"])
+    def test_non_canonical_text_rejected(self, edit):
+        # each names the default config's values in a spelling other than
+        # its canonical text; test_bool_literals covers the bool spellings
+        text = edit(canonical_config_text(ModelConfig()))
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
 
     def test_hash_distinguishes_configs(self):
         a = config_hash(ModelConfig(filters_n=16))
@@ -120,15 +149,14 @@ class TestConfig:
         assert a != b and len(a) == 32
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("filters_n=8\nbogus=1\n")
+        with pytest.raises(ConfigError, match="bogus"):
+            parse_config_text(canonical_config_text(ModelConfig()) + "bogus=1\n")
 
-    @pytest.mark.parametrize("text", ["filters_n=8\nfilters_n=16\n",
-                                      "filters_n=8\n filters_n = 8\n"],
+    @pytest.mark.parametrize("line", ["filters_n=16\n", "filters_n=32\n"],
                              ids=["different", "same"])
-    def test_duplicated_key_rejected(self, text):
-        with pytest.raises(ConfigError, match="filters_n"):
-            parse_config_text(text)
+    def test_duplicated_key_rejected(self, line):
+        with pytest.raises(ConfigError, match="canonical"):
+            parse_config_text(canonical_config_text(ModelConfig()) + line)
 
     @pytest.mark.parametrize("raw", ["abc", "", "8.0", "0x10"])
     def test_non_integer_rejected(self, raw):
@@ -139,7 +167,15 @@ class TestConfig:
         ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
         ("false", False), ("False", False), ("0", False), ("NO", False)])
     def test_bool_literals(self, raw, value):
-        assert parse_config_text(f"use_attention={raw}\n").use_attention is value
+        # `value` is the bool each spelling names; only the canonical
+        # spelling loads, so one config has one text
+        text = canonical_config_text(ModelConfig(use_attention=value)).replace(
+            f"use_attention={'true' if value else 'false'}", f"use_attention={raw}")
+        if raw in ("true", "false"):
+            assert parse_config_text(text).use_attention is value
+        else:
+            with pytest.raises(ConfigError, match="use_attention"):
+                parse_config_text(text)
 
     @pytest.mark.parametrize("raw", ["maybe", "", "2", "on", "t"])
     def test_bool_outside_literals_rejected(self, raw):
@@ -208,12 +244,10 @@ class TestEntropyParams:
             model.entropy_params_y(hf, y_ctx)
 
     def test_context_disabled_ignores_input(self, rng):
-        cfg = ModelConfig(filters_n=8, mixtures_k=2, use_context_y=False,
-                          use_context_x=False)
-        m = init_weights(cfg, seed=3)
-        hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
-        a = m.entropy_params_y(hf, T.Tensor(rng.normal(size=(1, 8, 4, 4))))
-        b = m.entropy_params_y(hf, T.Tensor(rng.normal(size=(1, 8, 4, 4))))
+        m = init_weights(ModelConfig(filters_n=8, mixtures_k=2, use_context_x=False), seed=3)
+        pf = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
+        a = m.entropy_params_x(pf, T.Tensor(rng.normal(size=(1, 3, 4, 4))))
+        b = m.entropy_params_x(pf, T.Tensor(rng.normal(size=(1, 3, 4, 4))))
         for field in ("weights", "means", "scales"):
             np.testing.assert_array_equal(getattr(a, field).data,
                                           getattr(b, field).data)
@@ -331,6 +365,29 @@ class TestAttention:
             np.testing.assert_array_equal(attn(T.Tensor(x)).data, x)
 
 
+    PLACEMENT_DIGESTS = {
+        2: "a47b5be1034124ad623e2bba24c16b830bfa10e5a068bd294329db4d8a5ef134",
+        4: "09c03d1efb024829786e6497416b1f94965f3006c78dc3628d5d119a58945876",
+        8: "cb75d84d85dd3768ed0f5b490a0577519e7af2956edd838b0930f4acd2b436e3",
+        16: "0c1c55b3676b460ba5376e35ccd1fccb2f2c1851a8e40a442f8962881e4674a1",
+    }
+
+    @pytest.mark.parametrize("downsample", sorted(PLACEMENT_DIGESTS))
+    def test_placement_pinned(self, downsample):
+        # where attention sits among the stages of both transforms: at
+        # downsample 2 synthesis applies it before its only upsample
+        cfg = ModelConfig(filters_n=4, mixtures_k=1, downsample_factor=downsample,
+                          hyper_downsample=2)
+        m = init_weights(cfg, seed=6)
+        rng = np.random.default_rng(downsample)
+        for t in m.params.values():  # lift the near-zero attention finals
+            t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+        x = T.Tensor(rng.normal(size=(1, 3, 2 * downsample, 2 * downsample)))
+        with T.no_grad():
+            out = m.synthesis(m.analysis(x)).data
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.PLACEMENT_DIGESTS[downsample]
+
+
 class TestInit:
     def test_deterministic(self, small_config):
         a = init_weights(small_config, seed=7).state()
@@ -391,9 +448,9 @@ class TestSerialization:
         # filters_n=8, mixtures_k=2, init seed 0: every init kind, the
         # parameter order and the NLW2 layout
         blob = serialize_weights(model)
-        assert len(blob) == 266_085
+        assert len(blob) == 266_050
         assert hashlib.sha256(blob).hexdigest() == (
-            "0564158d804b9b9e2ca79ab8b3e87f9479c9109f310e482effe84d48f9daecfe")
+            "6a5fa0b2d16b84899725f1a19d0a83fdc8b5f012e3e857ea6316fa4ee18c12c3")
         # the float64 data section alone hashes as NLW1's did: the same
         # values in the same order
         (cfg_len,) = struct.unpack_from("<I", blob, 4)
@@ -479,7 +536,7 @@ class TestWeightsParsing:
     def test_config_alone_allocates_nothing(self, filters_n):
         # config text and no data: the model the text names is never
         # filled, so building it must not allocate its weights
-        text = f"filters_n={filters_n}\n".encode()
+        text = canonical_config_text(ModelConfig(filters_n=filters_n)).encode()
         blob = b"NLW2" + struct.pack("<I", len(text)) + text
         tracemalloc.start()
         try:
