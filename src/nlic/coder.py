@@ -1,13 +1,17 @@
 """Deterministic integer range coder and the bitstream container format.
 
-The coder is a carry-propagating range coder with a 64-bit low accumulator,
-32-bit range and byte-wise renormalization. It uses pure integer arithmetic
-only, so identical (symbol, CDF) sequences produce identical bytes on any
-platform. Encoder and decoder instances are stateful and single-threaded.
+The coder is a range coder with a 32-bit low, a 32-bit range and byte-wise
+renormalization. It uses pure integer arithmetic only, so identical
+(symbol, CDF) sequences produce identical bytes on any platform. Encoder and
+decoder instances are stateful and single-threaded.
 
-Every coded interval nests inside the initial [0, 2^32 - 1), so the byte
-above the first 32-bit window is always 0 and no carry reaches it. The
-encoder drops it and the decoder starts from the first 4 bytes.
+The encoder keeps its whole output in memory, so a carry out of the low goes
+straight into the bytes already written: the trailing 0xFF bytes become 0x00
+and the byte before them grows by one. encode_symbol takes table entries in
+[0, 2^16] only, so every coded interval nests inside [0, 2^32 - 1), the
+output read as one number stays below 2^(8 * its length) and the walk stops
+at out[0] at the latest. No byte is dropped; the decoder starts from the
+first 4 bytes.
 
 Container layout, version 3. A varint is canonical unsigned LEB128 below
 2^32: 7 bits per byte, low group first, the high bit set on every byte but
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CDF_PRECISION
+from .entropy import CDF_PRECISION, CDF_TOTAL
 from .errors import (
     ContractViolation,
     IntegrityError,
@@ -61,8 +65,6 @@ class RangeEncoder:
     def __init__(self):
         self._low = 0
         self._range = _MASK32
-        self._cache = 0
-        self._cache_size = 1  # the leading byte, always 0; finish drops it
         self._out = bytearray()
         self._finished = False
 
@@ -80,32 +82,31 @@ class RangeEncoder:
         cum_hi = cdf.item(symbol + 1)
         if cum_hi <= cum_lo:
             raise ContractViolation(f"CDF not strictly increasing at symbol {symbol}")
+        if cum_lo < 0 or cum_hi > CDF_TOTAL:  # keeps the interval nested
+            raise ContractViolation(f"CDF leaves [0, 2^16] at symbol {symbol}")
         r = self._range >> CDF_PRECISION
-        self._low += r * cum_lo
-        self._range = r * (cum_hi - cum_lo)
-        while self._range < _TOP:
-            self._shift_low()
-            self._range = (self._range << 8) & _MASK32
-
-    def _shift_low(self) -> None:
-        if self._low < 0xFF000000 or self._low > _MASK32:
-            carry = self._low >> 32
-            self._out.append((self._cache + carry) & 0xFF)
-            for _ in range(self._cache_size - 1):
-                self._out.append((0xFF + carry) & 0xFF)
-            self._cache_size = 0
-            self._cache = (self._low >> 24) & 0xFF
-        self._cache_size += 1
-        self._low = (self._low << 8) & _MASK32
+        low = self._low + r * cum_lo
+        out = self._out
+        if low > _MASK32:  # a carry, walked back as the module docstring says
+            low &= _MASK32
+            i = len(out) - 1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        width = r * (cum_hi - cum_lo)
+        while width < _TOP:
+            out.append(low >> 24)
+            low = (low << 8) & _MASK32
+            width <<= 8
+        self._low, self._range = low, width
 
     def finish(self) -> bytes:
         """Flush the state; returns the complete segment bytes."""
         if self._finished:
             raise ContractViolation("encoder already finished")
-        for _ in range(5):
-            self._shift_low()
         self._finished = True
-        return bytes(self._out[1:])
+        return bytes(self._out + self._low.to_bytes(4, "big"))
 
 
 class RangeDecoder:
@@ -150,7 +151,7 @@ class RangeDecoder:
         width = r * (table[symbol + 1] - cum_lo)
         while width < _TOP:
             code = (code << 8) | self._next_byte()
-            width = (width << 8) & _MASK32
+            width <<= 8
         self._code = code
         self._range = width
         return symbol

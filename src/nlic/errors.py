@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the codec.
 
-The CLI maps these onto exit codes: usage problems exit 1, data problems
-exit 2, integrity problems exit 3.
+No CLI exists yet. The planned one maps these onto exit codes: usage
+problems exit 1, data problems exit 2, integrity problems exit 3.
 """
 
 

@@ -144,10 +144,10 @@ class _ParamStore:
 
 
 class Conv2d:
-    def __init__(self, store, name, cin, cout, k, stride=1, pad=None,
+    def __init__(self, store, name, cin, cout, k, stride=1,
                  weight_init="fan_in", bias_init="zero"):
         self.stride = stride
-        self.pad = k // 2 if pad is None else pad
+        self.pad = k // 2
         self.w = store.add(f"{name}.w", (cout, cin, k, k), weight_init, cin * k * k)
         self.b = store.add(f"{name}.b", (cout,), bias_init)
 
@@ -155,16 +155,16 @@ class Conv2d:
         return T.conv2d(x, self.w, self.b, self.stride, self.pad)
 
 
-class ConvTranspose2d:
-    def __init__(self, store, name, cin, cout, k, stride, pad):
-        self.stride = stride
-        self.pad = pad
-        fan_in = max(1, cin * k * k // (stride * stride))
-        self.w = store.add(f"{name}.w", (cin, cout, k, k), "fan_in", fan_in)
-        self.b = store.add(f"{name}.b", (cout,), "zero")
+class Upsample2x:
+    """A 4x4 transposed conv of stride 2 and pad 1: doubles height and width.
+    Each output takes 2x2 of the 4x4 taps, so the fan-in is 4 * channels."""
+
+    def __init__(self, store, name, channels):
+        self.w = store.add(f"{name}.w", (channels, channels, 4, 4), "fan_in", 4 * channels)
+        self.b = store.add(f"{name}.b", (channels,), "zero")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d_transposed(x, self.w, self.b, self.stride, self.pad)
+        return T.conv2d_transposed(x, self.w, self.b, 2, 1)
 
 
 class MaskedConv2d:
@@ -240,8 +240,7 @@ class Model:
         # synthesis mirror
         self.gs_in = Conv2d(store, "gs.in", n, n, 3)
         self.gs_res = ResBlock(store, "gs.res", n)
-        self.gs_ups = [ConvTranspose2d(store, f"gs.up{i}", n, n, 4, stride=2, pad=1)
-                       for i in range(n_down)]
+        self.gs_ups = [Upsample2x(store, f"gs.up{i}", n) for i in range(n_down)]
         self.gs_attn = AttentionBlock(store, "gs.attn", n) if config.use_attention else None
         self.gs_attn_after = n_down - mid  # completed upsamples before attention
         self.gs_out = Conv2d(store, "gs.out", n, n, 3)
@@ -251,8 +250,7 @@ class Model:
         self.ha_downs = [Conv2d(store, f"ha.down{i}", n, n, 3, stride=2)
                          for i in range(n_hyper)]
         self.ha_out = Conv2d(store, "ha.out", n, n, 3)
-        self.hs_ups = [ConvTranspose2d(store, f"hs.up{i}", n, n, 4, stride=2, pad=1)
-                       for i in range(n_hyper)]
+        self.hs_ups = [Upsample2x(store, f"hs.up{i}", n) for i in range(n_hyper)]
         self.hs_out = Conv2d(store, "hs.out", n, 2 * n, 3)
 
         # context models + entropy parameter heads
@@ -279,7 +277,7 @@ class Model:
 
     def init_random(self, seed: int) -> "Model":
         """Deterministic per-parameter init; independent of sibling params so
-        ablation configs share values for the keys they have in common."""
+        ablation configs share values for the keys of the same shape."""
         for name, t in self.params.items():
             kind, fan_in = self._init_specs[name]
             rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -353,9 +351,9 @@ class Model:
                                     self.head_x1, self.head_x2)
 
     def _entropy_params(self, features, ctx_input, ctx_conv, head1, head2) -> GmmParams:
-        """Context features (zeros without a context model) joined to the
-        transform features, then the two 1x1 head convs, split into the
-        per-channel mixture parameters."""
+        """Context features joined to the transform features, then the two
+        1x1 head convs, split into the per-channel mixture parameters. With no
+        context model, zeros keep head_x.conv1's shape and init unchanged."""
         if ctx_conv is None:
             ctx = Tensor(np.zeros((features.shape[0], self.config.filters_n)
                                   + tuple(features.shape[2:])))

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
 
 LEAKY_SLOPE = 0.2
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -442,7 +442,7 @@ def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int
 def causal_mask(kernel: int) -> np.ndarray:
     """Mask type A: zero at the raster center and everywhere after it."""
     if kernel not in (5, 7):
-        raise ConfigError(f"masked conv kernel must be 5 or 7, got {kernel}")
+        raise ContractViolation(f"masked conv kernel must be 5 or 7, got {kernel}")
     mask = np.zeros((kernel, kernel))
     half = kernel // 2
     mask[:half, :] = 1.0

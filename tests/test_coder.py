@@ -4,9 +4,12 @@ import hashlib
 import math
 import struct
 import zlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlic import entropy as E
 from nlic.coder import (
@@ -123,6 +126,18 @@ class TestRangeCoderRoundTrip:
         with pytest.raises(ContractViolation):
             enc.encode_symbol(4, cdf)
 
+    @pytest.mark.parametrize("table, symbol, match", [
+        ([0, 5, 5, 65536], 1, "strictly increasing"),
+        ([0, 70000, 140000], 1, "leaves"),
+        ([-5, 100, 65536], 0, "leaves"),
+    ], ids=["flat", "over-total", "negative"])
+    def test_bad_table_rejected(self, table, symbol, match):
+        # a table outside [0, 2^16] breaks the nesting of the coded intervals:
+        # the bytes decode to other symbols, or a carry walks past the first byte
+        enc = RangeEncoder()
+        with pytest.raises(ContractViolation, match=match):
+            enc.encode_symbol(symbol, np.array(table, dtype=np.int64))
+
     def test_truncated_stream_raises(self, rng):
         cdf = random_cdf(rng, 64)
         enc = RangeEncoder()
@@ -143,6 +158,102 @@ class TestRangeCoderRoundTrip:
         dec = RangeDecoder(b"\xff" * 4000)
         with pytest.raises(IntegrityError, match="outside"):
             dec.decode_symbol(cdf)
+
+
+class OracleEncoder:
+    """Reference encoder: the coder's interval arithmetic with an unbounded
+    low and no carry code. Its bytes are low's big-endian digits, one per
+    renormalization and four for the flush."""
+
+    def __init__(self):
+        self.low, self.width, self.count = 0, (1 << 32) - 1, 0
+
+    def encode(self, s, cdf):
+        r = self.width >> E.CDF_PRECISION
+        self.low += r * int(cdf[s])
+        self.width = r * (int(cdf[s + 1]) - int(cdf[s]))
+        while self.width < 1 << 24:
+            self.low, self.width, self.count = self.low << 8, self.width << 8, self.count + 1
+
+    def bytes(self):
+        return self.low.to_bytes(self.count + 4, "big")
+
+
+def oracle_encode(symbols, cdfs):
+    oracle = OracleEncoder()
+    for s, cdf in zip(symbols, cdfs):
+        oracle.encode(s, cdf)
+    return oracle.bytes()
+
+
+def encode(symbols, cdfs):
+    enc = RangeEncoder()
+    for s, cdf in zip(symbols, cdfs):
+        enc.encode_symbol(s, cdf)
+    return enc.finish()
+
+
+def carry_stream():
+    """(cdf, symbols): 12 symbols of a 4,096-bin uniform table, each the bin
+    that holds the boundary B = 2^31 (shifted left with each renormalization),
+    so low creeps up to just below B and its bytes fill with 0xFF; then the
+    bin just above B, whose low passes B and carries through all of them."""
+    cdf = E.build_cdf(np.full(4096, 1 / 4096))
+    oracle = OracleEncoder()
+    symbols = []
+    for step in range(13):
+        r = oracle.width >> E.CDF_PRECISION
+        s = bisect_right(cdf, ((1 << (31 + 8 * oracle.count)) - oracle.low) // r) - 1
+        symbols.append(s + (step == 12))
+        oracle.encode(symbols[-1], cdf)
+    return cdf, symbols
+
+
+@st.composite
+def coded_streams(draw):
+    """(symbols, cdfs): up to 4 build_cdf tables of 2 to 300 bins, from flat
+    to sharply peaked, and a stream of symbols, about half of them at a peak."""
+    tables, peaks = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 300))
+        peak = draw(st.integers(0, n - 1))
+        pmf = np.exp(-draw(st.floats(0, 20)) * np.abs(np.arange(n) - peak))
+        tables.append(E.build_cdf(pmf / pmf.sum()))
+        peaks.append(peak)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(tables) - 1),
+                                    st.none() | st.integers(0, 299)),
+                          max_size=400))
+    symbols = [peaks[t] if s is None else s % (tables[t].size - 1) for t, s in picks]
+    return symbols, [tables[t] for t, _ in picks]
+
+
+class TestCarry:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(coded_streams())
+    def test_bytes_match_oracle(self, stream):
+        symbols, cdfs = stream
+        data = encode(symbols, cdfs)
+        assert data == oracle_encode(symbols, cdfs)
+        dec = RangeDecoder(data)
+        assert [dec.decode_symbol(cdf) for cdf in cdfs] == symbols
+
+    def test_carry_through_ff_run(self):
+        cdf, symbols = carry_stream()
+        cdfs = [cdf] * len(symbols)
+        # the bytes before the last symbol, without the 4 flush bytes, end
+        # in a run of 0xFF bytes
+        before = oracle_encode(symbols[:-1], cdfs)[:-4]
+        run = len(before) - len(before.rstrip(b"\xff"))
+        assert run >= 3
+        data = encode(symbols, cdfs)
+        assert data == oracle_encode(symbols, cdfs)
+        # the last symbol carries through the whole run
+        head = len(before) - run - 1
+        assert data[:head] == before[:head]
+        assert data[head] == before[head] + 1
+        assert data[head + 1:len(before)] == bytes(run)
+        dec = RangeDecoder(data)
+        assert [dec.decode_symbol(cdf) for _ in symbols] == symbols
 
 
 class TestCodelengthBounds:

@@ -427,11 +427,19 @@ class TestInit:
         want = FactorizedPrior.init(small_config.filters_n).pmf_table(E.LATENT_GRID)
         assert np.array_equal(model.prior.pmf_table(E.LATENT_GRID), want)
 
-    def test_shared_keys_get_identical_values(self):
-        full = init_weights(ModelConfig(filters_n=8), 5)
-        ablated = init_weights(ModelConfig(filters_n=8, use_attention=False), 5)
-        for k in ablated.params:
-            np.testing.assert_array_equal(full.params[k].data, ablated.params[k].data)
+    @pytest.mark.parametrize("ablation, shared, keys", [
+        ({"use_context_x": False}, 115, 115),
+        # head_{y,x}.conv2.{w,b} have 3K or 9K output channels
+        ({"mixtures_k": 1}, 113, 117),
+        ({"use_attention": False}, 61, 61),
+    ], ids=["use_context_x", "mixtures_k", "use_attention"])
+    def test_shared_keys_get_identical_values(self, ablation, shared, keys):
+        full = init_weights(ModelConfig(filters_n=8), 5).params
+        ablated = init_weights(ModelConfig(filters_n=8, **ablation), 5).params
+        same_shape = [k for k, t in ablated.items() if t.data.shape == full[k].data.shape]
+        assert (len(same_shape), len(ablated)) == (shared, keys)
+        for k in same_shape:
+            np.testing.assert_array_equal(full[k].data, ablated[k].data)
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from nlic import tensor as T
-from nlic.errors import ConfigError, ContractViolation
+from nlic.errors import ContractViolation
 
 from conftest import finite_difference, rel_err
 
@@ -289,7 +289,7 @@ class TestMaskedConv:
         m5 = T.causal_mask(5)
         assert m5[2, 2] == 0.0 and m5[2, 1] == 1.0 and m5[2, 3] == 0.0
         assert m5[:2].all() and not m5[3:].any()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractViolation):
             T.causal_mask(4)
 
     def test_strict_causality_bias_only(self, rng):
