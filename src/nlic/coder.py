@@ -113,20 +113,12 @@ class RangeDecoder:
     """Decodes a stream produced with the identical CDF sequence."""
 
     def __init__(self, data: bytes):
+        if len(data) < 4:
+            raise TruncationError(f"coded stream truncated at byte {len(data)}")
         self._data = data
-        self._pos = 0
+        self._pos = 4
         self._range = _MASK32
-        self._code = 0
-        for _ in range(4):
-            self._code = (self._code << 8) | self._next_byte()
-
-    def _next_byte(self) -> int:
-        if self._pos >= len(self._data):
-            raise TruncationError(
-                f"coded stream truncated at byte {self._pos}")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
+        self._code = int.from_bytes(data[:4], "big")
 
     def decode_symbol(self, cdf: np.ndarray) -> int:
         """Next symbol under cdf, the table the encoder used for it.
@@ -149,9 +141,14 @@ class RangeDecoder:
         cum_lo = table[symbol]
         code -= r * cum_lo
         width = r * (table[symbol + 1] - cum_lo)
+        data, pos = self._data, self._pos
         while width < _TOP:
-            code = (code << 8) | self._next_byte()
+            if pos >= len(data):
+                raise TruncationError(f"coded stream truncated at byte {pos}")
+            code = (code << 8) | data[pos]
+            pos += 1
             width <<= 8
+        self._pos = pos
         self._code = code
         self._range = width
         return symbol

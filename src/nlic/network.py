@@ -28,20 +28,26 @@ WEIGHTS_MAGIC = b"NLW2"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The settable architecture: sizes, and the ablations of the paper's
+    """The settable architecture: the width, and the ablations of the paper's
     additions (attention, the pixel context, the mixture count). Paper-scale
-    values sit in comments next to the desk-scale defaults of the tests. The
-    context kernels are fixed: `Model.ctx_y` is always a 5x5 mask-A conv, as
-    in the lossy base model, and the pixel kernel is `mask_kernel_x`."""
+    values sit in comments next to the desk-scale defaults of the tests.
+
+    The rest is fixed. The analysis transform has two stride-2 stages with
+    attention between them, so latents sit `downsample_factor` = 4 below the
+    pixels; the hyper path has two more, so hyper-latents sit
+    `total_downsample` = 16 below them. `Model.ctx_y` is always a 5x5
+    mask-A conv, as in the lossy base model, and the pixel kernel is
+    `mask_kernel_x`."""
 
     filters_n: int = 32          # paper: 192
     mixtures_k: int = 3          # paper: 3
     use_attention: bool = True
     use_context_x: bool = True
-    downsample_factor: int = 4   # total spatial stride of the analysis transform
-    hyper_downsample: int = 4    # additional stride of the hyper analysis
 
-    mask_kernel_x = 7            # a class constant, not a field
+    # class constants, not fields
+    mask_kernel_x = 7
+    downsample_factor = 4
+    total_downsample = 16
 
     def __post_init__(self):
         # exact types, so one config has one canonical text and one hash
@@ -55,14 +61,6 @@ class ModelConfig:
             raise ConfigError(f"mixtures_k must be in [1, 64], got {self.mixtures_k}")
         if not 4 <= self.filters_n <= 1 << 17:
             raise ConfigError(f"filters_n must be in [4, {1 << 17}], got {self.filters_n}")
-        for name in ("downsample_factor", "hyper_downsample"):
-            v = getattr(self, name)
-            if not 2 <= v <= 64 or (v & (v - 1)) != 0:
-                raise ConfigError(f"{name} must be a power of two in [2, 64], got {v}")
-
-    @property
-    def total_downsample(self) -> int:
-        return self.downsample_factor * self.hyper_downsample
 
 
 def canonical_config_text(config: ModelConfig) -> str:
@@ -213,44 +211,38 @@ class AttentionBlock:
 
 
 class Model:
-    """All learnable state plus the transform/head graph over it."""
+    """All learnable state plus the transform/head graph over it.
+
+    Analysis runs two stride-2 stages with attention between them, synthesis
+    two stride-2 upsamples with attention between them; the hyper transforms
+    add two stride-2 convs and two upsamples, a 4x hyper path."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         store = _ParamStore()
         n = config.filters_n
         k = config.mixtures_k
-        n_down = config.downsample_factor.bit_length() - 1  # powers of two
-        n_hyper = config.hyper_downsample.bit_length() - 1
-        mid = (n_down + 1) // 2
+        attention = config.use_attention
 
-        # analysis: stride-2 stages with residual blocks between, attention
-        # mid-encoder, and a final stride-1 latent head
-        self.ga_stages = []
-        cin = 3
-        for i in range(n_down):
-            conv = Conv2d(store, f"ga.down{i}", cin, n, 3, stride=2)
-            res = ResBlock(store, f"ga.res{i}", n)
-            self.ga_stages.append((conv, res))
-            cin = n
-        self.ga_attn = AttentionBlock(store, "ga.attn", n) if config.use_attention else None
-        self.ga_attn_after = mid  # attention placed after this many stages
+        # analysis: two stride-2 stages with a residual block each, attention
+        # between them, and a final stride-1 latent head
+        self.ga_stages = [(Conv2d(store, f"ga.down{i}", n if i else 3, n, 3, stride=2),
+                           ResBlock(store, f"ga.res{i}", n)) for i in range(2)]
+        self.ga_attn = AttentionBlock(store, "ga.attn", n) if attention else None
         self.ga_out = Conv2d(store, "ga.out", n, n, 3)
 
         # synthesis mirror
         self.gs_in = Conv2d(store, "gs.in", n, n, 3)
         self.gs_res = ResBlock(store, "gs.res", n)
-        self.gs_ups = [Upsample2x(store, f"gs.up{i}", n) for i in range(n_down)]
-        self.gs_attn = AttentionBlock(store, "gs.attn", n) if config.use_attention else None
-        self.gs_attn_after = n_down - mid  # completed upsamples before attention
+        self.gs_up = [Upsample2x(store, f"gs.up{i}", n) for i in range(2)]
+        self.gs_attn = AttentionBlock(store, "gs.attn", n) if attention else None
         self.gs_out = Conv2d(store, "gs.out", n, n, 3)
 
         # hyper transforms; hyper features twice as wide as the latent
         self.ha_in = Conv2d(store, "ha.in", n, n, 3)
-        self.ha_downs = [Conv2d(store, f"ha.down{i}", n, n, 3, stride=2)
-                         for i in range(n_hyper)]
+        self.ha_down = [Conv2d(store, f"ha.down{i}", n, n, 3, stride=2) for i in range(2)]
         self.ha_out = Conv2d(store, "ha.out", n, n, 3)
-        self.hs_ups = [Upsample2x(store, f"hs.up{i}", n) for i in range(n_hyper)]
+        self.hs_up = [Upsample2x(store, f"hs.up{i}", n) for i in range(2)]
         self.hs_out = Conv2d(store, "hs.out", n, 2 * n, 3)
 
         # context models + entropy parameter heads
@@ -309,35 +301,33 @@ class Model:
     # -- transforms ----------------------------------------------------------
 
     def analysis(self, x: Tensor) -> Tensor:
-        (h, w), d = x.shape[2:], self.config.total_downsample
+        (h, w), d = x.shape[2:], ModelConfig.total_downsample
         if h % d or w % d:
             raise ContractViolation(
                 f"spatial dims {h}x{w} not divisible by {d}; pad beforehand")
-        h = x
-        for i, (conv, res) in enumerate(self.ga_stages):
-            h = res(T.leaky_relu(conv(h)))
-            if self.ga_attn is not None and i + 1 == self.ga_attn_after:
-                h = self.ga_attn(h)
-        return self.ga_out(h)
+        (down0, res0), (down1, res1) = self.ga_stages
+        h = res0(T.leaky_relu(down0(x)))
+        if self.ga_attn is not None:
+            h = self.ga_attn(h)
+        return self.ga_out(res1(T.leaky_relu(down1(h))))
 
     def synthesis(self, y: Tensor) -> Tensor:
         h = self.gs_res(T.leaky_relu(self.gs_in(y)))
-        for i, up in enumerate(self.gs_ups):
-            if self.gs_attn is not None and i == self.gs_attn_after:
-                h = self.gs_attn(h)
-            h = T.leaky_relu(up(h))
+        h = T.leaky_relu(self.gs_up[0](h))
+        if self.gs_attn is not None:
+            h = self.gs_attn(h)
+        h = T.leaky_relu(self.gs_up[1](h))
         return self.gs_out(h)
 
     def hyper_analysis(self, y: Tensor) -> Tensor:
         h = T.leaky_relu(self.ha_in(y))
-        for conv in self.ha_downs:
-            h = T.leaky_relu(conv(h))
+        h = T.leaky_relu(self.ha_down[0](h))
+        h = T.leaky_relu(self.ha_down[1](h))
         return self.ha_out(h)
 
     def hyper_synthesis(self, z: Tensor) -> Tensor:
-        h = z
-        for up in self.hs_ups:
-            h = T.leaky_relu(up(h))
+        h = T.leaky_relu(self.hs_up[0](z))
+        h = T.leaky_relu(self.hs_up[1](h))
         return self.hs_out(h)
 
     # -- entropy parameter heads ---------------------------------------------

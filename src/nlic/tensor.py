@@ -230,12 +230,6 @@ def tanh(t: Tensor) -> Tensor:
     return _make(data, (t, lambda g: g * (1.0 - data * data)))
 
 
-def exp(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    data = np.exp(t.data)
-    return _make(data, (t, lambda g: g * data))
-
-
 def log(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     return _make(np.log(t.data), (t, lambda g: g / t.data))

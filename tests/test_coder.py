@@ -150,6 +150,29 @@ class TestRangeCoderRoundTrip:
             for _ in symbols:
                 dec.decode_symbol(cdf)
 
+    @pytest.mark.parametrize("size", range(4))
+    def test_stream_shorter_than_code_raises(self, size):
+        with pytest.raises(TruncationError, match=f"truncated at byte {size}$"):
+            RangeDecoder(bytes(size))
+
+    @pytest.mark.parametrize("cut", [7, 8])
+    def test_cut_during_renormalization_names_byte(self, cut):
+        # under 256 equal bins a symbol shifts in exactly one byte, and under
+        # a bin of one count in 2^16 exactly two; the last symbol reads bytes
+        # 7 and 8, so a cut before either is named as that byte
+        flat = np.arange(0, E.CDF_TOTAL + 1, 256)
+        narrow = np.array([0, 1, E.CDF_TOTAL])
+        coded = [(7, flat), (200, flat), (255, flat), (0, narrow)]
+        enc = RangeEncoder()
+        for symbol, cdf in coded:
+            enc.encode_symbol(symbol, cdf)
+        data = enc.finish()
+        assert len(data) == 4 + 3 + 2
+        dec = RangeDecoder(data[:cut])
+        assert [dec.decode_symbol(cdf) for _, cdf in coded[:3]] == [7, 200, 255]
+        with pytest.raises(TruncationError, match=f"truncated at byte {cut}$"):
+            dec.decode_symbol(narrow)
+
     def test_bytes_no_encoder_wrote_raise(self):
         # the code 2^32 - 1 lies above the r * total an encoder's code stays
         # below, so the first symbol raises. Clamping the target instead let

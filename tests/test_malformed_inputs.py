@@ -112,8 +112,7 @@ def test_parse_config_text(text):
     assert canonical_config_text(config) == text
 
 
-WEIGHTS_CONFIG = ModelConfig(filters_n=4, mixtures_k=1, downsample_factor=2,
-                             hyper_downsample=2, use_attention=False)
+WEIGHTS_CONFIG = ModelConfig(filters_n=4, mixtures_k=1, use_attention=False)
 WEIGHTS = serialize_weights(init_weights(WEIGHTS_CONFIG, 0))
 
 
