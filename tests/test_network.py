@@ -55,6 +55,16 @@ def assert_no_grad_matches_recording(run):
         assert np.array_equal(r.data, p.data)
 
 
+def mixture_log_mass(params, v):
+    """Sum over v [B, C, h, w] of the log of the mixture's mass on
+    [v - 1/2, v + 1/2]: the rate term of a training loss, negated."""
+    b, c, h, w = v.shape
+    v = T.reshape(T.transpose(v, (0, 2, 3, 1)), (b, h, w, c, 1))
+    lo, hi = (T.normal_cdf(T.div(T.sub(T.add(v, d), params.means), params.scales))
+              for d in (-0.5, 0.5))
+    return T.reduce_sum(T.log(T.reduce_sum(T.mul(params.weights, T.sub(hi, lo)), axis=-1)))
+
+
 @pytest.fixture
 def small_config():
     return ModelConfig(filters_n=8, mixtures_k=2)
@@ -311,6 +321,31 @@ class TestEntropyParams:
                 for got, want in zip(batch, alone, strict=True):
                     np.testing.assert_array_equal(got[row], want)
                 np.testing.assert_array_equal(tables[row], E.gmm_pmf_table(*alone, grid))
+
+    HEAD_DIGESTS = {  # sha256 of (weights, means, scales) of the y head, then the x head
+        True: ("d9eb4e114348f1f92ebadc445f651817fb3e9d7760a8a90418d63df47fd90023",
+               "436aef46d745383da81b94dfe702e8d07de73be07454c3d1257564d9055887cd"),
+        False: ("652bf1eb80076520aa70e2110e0eaafb09fe21e170cc96adb9ee287deb93b301",
+                "9d41efc5820ed8f774c00d4b2722f9f029377f8267b12e37281fa8ded4dcb1a0"),
+    }
+
+    @pytest.mark.parametrize("use_context_x", [True, False])
+    def test_heads_pinned(self, use_context_x):
+        # the context convs, the two 1x1 head convs and the split into
+        # mixture parameters, which the coded bytes depend on
+        m = Model(ModelConfig(filters_n=8, mixtures_k=2,
+                              use_context_x=use_context_x)).init_random(9)
+        rng = np.random.default_rng(19)
+        for t in m.params.values():  # lift the near-zero head finals
+            t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+        with T.no_grad():
+            heads = (m.entropy_params_y(T.Tensor(rng.normal(size=(1, 16, 4, 6))),
+                                        T.Tensor(rng.normal(size=(1, 8, 4, 6)))),
+                     m.entropy_params_x(T.Tensor(rng.normal(size=(1, 8, 8, 6))),
+                                        T.Tensor(rng.normal(size=(1, 3, 8, 6)))))
+        digests = tuple(hashlib.sha256(b"".join(t.data.tobytes() for t in vars(p).values()))
+                        .hexdigest() for p in heads)
+        assert digests == self.HEAD_DIGESTS[use_context_x]
 
     def test_no_grad_matches_recording(self, model, rng):
         hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
@@ -633,3 +668,32 @@ class TestGradientFlow:
 
         fd = finite_difference(fn_picked, [x_data.reshape(-1)[picked]], kink_guard)
         assert rel_err(xt.grad.reshape(-1)[picked], fd[0]) < 1e-4
+
+    STEP_DIGESTS = {  # sha256 of the loss, then of every gradient in store order
+        True: ("f5f2d7db1a46f315654242123a41a32bdb6b0e37fe4efa7a1447f208724054af",
+               "591c4ca691b5111064d33bbce9ba5d9c7261229f2965ded49a54275f8f6cb186"),
+        False: ("4b79a9bffcd6067b0c1e3f70e44e7bd812dcd9854fe2337787bcf623f8ff6188",
+                "f2d039f963d685cfc903921bbc30e6fb767726c069c353421b1a2b2ebef814ec"),
+    }
+
+    @pytest.mark.parametrize("full", [True, False], ids=["default", "no-attention-no-context"])
+    def test_step_gradients_pinned(self, full):
+        # one training step: the rates of x and y under their heads and of z
+        # under the prior, through every transform; all parameters get a
+        # gradient, bit for bit the same
+        m = Model(ModelConfig(filters_n=4, use_attention=full, use_context_x=full)).init_random(8)
+        x = T.Tensor(np.random.default_rng(18).normal(size=(1, 3, 16, 16)))
+        y = m.analysis(x)
+        z = m.hyper_analysis(y)
+        z_last = T.transpose(z, (0, 2, 3, 1))
+        rate_z = T.reduce_sum(T.log(T.sub(m.prior.cdf(T.add(z_last, 0.5)),
+                                          m.prior.cdf(T.sub(z_last, 0.5)))))
+        log_mass = T.add(T.add(rate_z, mixture_log_mass(
+            m.entropy_params_y(m.hyper_synthesis(z), y), y)),
+            mixture_log_mass(m.entropy_params_x(m.synthesis(y), x), x))
+        loss = T.mul(log_mass, -1.0)
+        loss.backward()
+        assert all(t.grad is not None for t in m.params.values())
+        grads = b"".join(t.grad.tobytes() for t in m.params.values())
+        assert (hashlib.sha256(loss.data.tobytes()).hexdigest(),
+                hashlib.sha256(grads).hexdigest()) == self.STEP_DIGESTS[full]
