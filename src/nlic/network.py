@@ -145,12 +145,11 @@ class Conv2d:
     def __init__(self, store, name, cin, cout, k, stride=1,
                  weight_init="fan_in", bias_init="zero"):
         self.stride = stride
-        self.pad = k // 2
         self.w = store.add(f"{name}.w", (cout, cin, k, k), weight_init, cin * k * k)
         self.b = store.add(f"{name}.b", (cout,), bias_init)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, self.b, self.stride, self.pad)
+        return T.conv2d(x, self.w, self.b, self.stride)
 
 
 class Upsample2x:
@@ -162,18 +161,17 @@ class Upsample2x:
         self.b = store.add(f"{name}.b", (channels,), "zero")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d_transposed(x, self.w, self.b, 2, 1)
+        return T.conv2d_transposed(x, self.w, self.b)
 
 
 class MaskedConv2d:
     def __init__(self, store, name, cin, cout, kernel):
-        self.kernel = kernel
         self.w = store.add(f"{name}.w", (cout, cin, kernel, kernel), "fan_in",
                            cin * kernel * kernel)
         self.b = store.add(f"{name}.b", (cout,), "zero")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.masked_conv2d(x, self.w, self.b, self.kernel)
+        return T.masked_conv2d(x, self.w, self.b)
 
 
 class ResBlock:
@@ -358,14 +356,9 @@ class Model:
         # one transpose puts the three in front and C, K last
         p = T.transpose(T.reshape(raw, (b, 3, -1, self.config.mixtures_k, h, w)),
                         (1, 0, 4, 5, 2, 3))
-        logits, means, raw_scales = (T.reshape(T.narrow(p, 0, i, 1), p.shape[1:])
-                                     for i in range(3))
+        logits, means, raw_scales = (T.select(p, i) for i in range(3))
         return GmmParams(T.softmax(logits), means,
                          T.add(T.softplus(raw_scales), SCALE_FLOOR))
-
-
-def init_weights(config: ModelConfig, seed: int) -> Model:
-    return Model(config).init_random(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Covers exactly the operator set the codec networks need: 2-D (transposed,
-masked) convolutions, a handful of elementwise nonlinearities, a
-last-axis softmax, reductions and shape plumbing. A dynamic graph is recorded
-per forward pass; ``backward()`` on a scalar loss walks it once in reverse
-topological order and then releases it, so a second backward without a new
-forward raises.
+Covers exactly the operator set the codec networks need: a handful of
+elementwise nonlinearities, a last-axis softmax, reductions, shape plumbing
+and three convolutions, each with one fixed contract: ``conv2d`` (odd square
+kernel, zero padding k//2, stride 1 or 2, output ceil(H/s) x ceil(W/s)),
+``conv2d_transposed`` (4x4 kernel, stride 2, padding 1, output 2H x 2W) and
+``masked_conv2d`` (mask-A ``conv2d`` at stride 1, its 5x5 or 7x7 kernel read
+from the weight). Only an empty input gives an empty output; each refuses
+one. A dynamic graph is recorded per forward pass; ``backward()`` on a
+scalar loss walks it once in reverse topological order and then releases it,
+so a second backward without a new forward raises.
 
 Each op hands ``_make`` one edge per input: the input and its
 vector-Jacobian product (VJP), a function from the output's gradient to
@@ -268,15 +272,15 @@ def clamp_min(t: Tensor, bound: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(t: Tensor, axis=None) -> Tensor:
     t = _as_tensor(t)
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, t.data.shape)
 
-    return _make(t.data.sum(axis=axis, keepdims=keepdims), (t, vjp))
+    return _make(t.data.sum(axis=axis), (t, vjp))
 
 
 def mean(t: Tensor) -> Tensor:
@@ -310,18 +314,16 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(data, *edges)
 
 
-def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
+def select(t: Tensor, i: int) -> Tensor:
+    """Entry i along the first axis, with that axis dropped."""
     t = _as_tensor(t)
-    idx = [slice(None)] * t.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
 
     def vjp(g):
         buf = np.zeros_like(t.data)
-        buf[idx] = g
+        buf[i] = g
         return buf
 
-    return _make(np.ascontiguousarray(t.data[idx]), (t, vjp))
+    return _make(np.ascontiguousarray(t.data[i]), (t, vjp))
 
 
 def softmax(t: Tensor) -> Tensor:
@@ -370,10 +372,11 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, pad: int, out_hw) -> np.
     return full[:, :, pad:pad + oh, pad:pad + ow]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] plus bias.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,k,k] plus bias.
 
-    kh, kw must be odd; output spatial size floor((H+2p-k)/s)+1 must be >= 1.
+    k must be odd; the input is zero-padded by k//2, so the output is
+    ceil(H/stride) x ceil(W/stride), and H, W must be >= 1.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 4:
@@ -381,53 +384,49 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     if w.data.ndim != 4:
         raise ContractViolation(f"conv2d: weight must be 4-D, got {w.data.ndim}-D")
     co, ci, kh, kw = w.data.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ContractViolation(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
+    if kh != kw or kh % 2 == 0:
+        raise ContractViolation(f"conv2d: kernel must be square with odd size, got {kh}x{kw}")
     if x.data.shape[1] != ci:
         raise ContractViolation(
             f"conv2d: input channels {x.data.shape[1]} != weight Cin {ci}")
     if b.data.shape != (co,):
         raise ContractViolation(f"conv2d: bias shape {b.data.shape} != ({co},)")
     h, w_in = x.data.shape[2], x.data.shape[3]
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w_in + 2 * pad - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ContractViolation(f"conv2d: empty output {oh}x{ow} for input {h}x{w_in}")
+    if h < 1 or w_in < 1:
+        raise ContractViolation(f"conv2d: empty input {h}x{w_in}")
 
     # bias and weight VJPs run first, so their temporaries are freed before
     # the input gradient is allocated; input first took about twice the page
     # faults per training step
-    win = _windows(x.data, (kh, kw), stride, pad)
+    win = _windows(x.data, (kh, kw), stride, kh // 2)
     return _make(_correlate(win, w.data) + b.data[None, :, None, None],
                  (b, lambda g: g.sum(axis=(0, 2, 3))),
                  (w, lambda g: np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))),
-                 (x, lambda g: _scatter(g, w.data, stride, pad, (h, w_in))))
+                 (x, lambda g: _scatter(g, w.data, stride, kh // 2, (h, w_in))))
 
 
-def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Transposed convolution (gradient-of-conv2d semantics).
-
-    Weight layout [Cin,Cout,kh,kw]; output spatial size (H-1)*stride - 2*pad + kh.
-    """
+def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Transposed convolution (gradient-of-conv2d semantics) with a 4x4 kernel,
+    stride 2 and padding 1: weight layout [Cin,Cout,4,4], output 2H x 2W."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ContractViolation("conv2d_transposed: input and weight must be 4-D")
     ci, co, kh, kw = w.data.shape
+    if (kh, kw) != (4, 4):
+        raise ContractViolation(f"conv2d_transposed: kernel must be 4x4, got {kh}x{kw}")
     if x.data.shape[1] != ci:
         raise ContractViolation(
             f"conv2d_transposed: input channels {x.data.shape[1]} != weight Cin {ci}")
     if b.data.shape != (co,):
         raise ContractViolation(f"conv2d_transposed: bias shape {b.data.shape} != ({co},)")
     h, w_in = x.data.shape[2], x.data.shape[3]
-    oh = (h - 1) * stride - 2 * pad + kh
-    ow = (w_in - 1) * stride - 2 * pad + kw
-    if oh < 1 or ow < 1:
-        raise ContractViolation(f"conv2d_transposed: empty output {oh}x{ow}")
+    if h < 1 or w_in < 1:
+        raise ContractViolation(f"conv2d_transposed: empty input {h}x{w_in}")
 
-    def g_windows(g):  # [B,Co,H,W,kh,kw]
-        return _windows(g, (kh, kw), stride, pad)
+    def g_windows(g):  # [B,Co,H,W,4,4]
+        return _windows(g, (4, 4), 2, 1)
 
-    data = _scatter(x.data, w.data, stride, pad, (oh, ow)) + b.data[None, :, None, None]
+    data = _scatter(x.data, w.data, 2, 1, (2 * h, 2 * w_in)) + b.data[None, :, None, None]
     return _make(data, (b, lambda g: g.sum(axis=(0, 2, 3))),
                  (w, lambda g: np.tensordot(x.data, g_windows(g), axes=([0, 2, 3], [0, 2, 3]))),
                  (x, lambda g: _correlate(g_windows(g), w.data)))
@@ -444,17 +443,16 @@ def causal_mask(kernel: int) -> np.ndarray:
     return mask
 
 
-def masked_conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int) -> Tensor:
-    """Strictly causal (mask type A) convolution, stride 1, pad kernel//2:
-    conv2d with the weight multiplied by causal_mask(kernel).
+def masked_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Strictly causal (mask type A) convolution: conv2d at stride 1 with
+    the weight [Cout,Cin,k,k] multiplied by causal_mask(k).
 
     The mask zeroes the center tap and every raster-later tap in both the
     forward and backward pass, so masked weights never receive gradient and
     output (i,j) depends only on raster-earlier inputs.
     """
-    mask = causal_mask(kernel)
     w = _as_tensor(w)
-    if w.data.shape[2:] != (kernel, kernel):
+    if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ContractViolation(
-            f"masked_conv2d: weight spatial dims {w.data.shape[2:]} != ({kernel},{kernel})")
-    return conv2d(x, mul(w, mask), b, 1, kernel // 2)
+            f"masked_conv2d: weight must be [Cout,Cin,k,k], got shape {w.data.shape}")
+    return conv2d(x, mul(w, causal_mask(w.data.shape[3])), b)

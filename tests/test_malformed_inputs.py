@@ -15,10 +15,10 @@ from nlic import entropy as E
 from nlic.coder import ContainerHeader, RangeDecoder, RangeEncoder, read_container, write_container
 from nlic.errors import ConfigError, NlicError
 from nlic.network import (
+    Model,
     ModelConfig,
     canonical_config_text,
     deserialize_weights,
-    init_weights,
     parse_config_text,
     serialize_weights,
     weight_hash,
@@ -113,7 +113,7 @@ def test_parse_config_text(text):
 
 
 WEIGHTS_CONFIG = ModelConfig(filters_n=4, mixtures_k=1, use_attention=False)
-WEIGHTS = serialize_weights(init_weights(WEIGHTS_CONFIG, 0))
+WEIGHTS = serialize_weights(Model(WEIGHTS_CONFIG).init_random(0))
 
 
 def _with_config_value(key, digits):

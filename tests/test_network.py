@@ -31,7 +31,6 @@ from nlic.network import (
     canonical_config_text,
     config_hash,
     deserialize_weights,
-    init_weights,
     parse_config_text,
     serialize_weights,
     weight_hash,
@@ -72,7 +71,7 @@ def small_config():
 
 @pytest.fixture
 def model(small_config):
-    return init_weights(small_config, seed=0)
+    return Model(small_config).init_random(0)
 
 
 class TestConfig:
@@ -197,7 +196,7 @@ class TestConfig:
 
 class TestShapes:
     def test_default_shape_chain(self):
-        m = init_weights(ModelConfig(filters_n=32), seed=1)
+        m = Model(ModelConfig(filters_n=32)).init_random(1)
         x = T.Tensor(np.zeros((1, 3, 16, 16)))
         y = m.analysis(x)
         assert y.shape == (1, 32, 4, 4)
@@ -211,6 +210,15 @@ class TestShapes:
     def test_indivisible_dims_rejected(self, model):
         with pytest.raises(ContractViolation, match="divisible"):
             model.analysis(T.Tensor(np.zeros((1, 3, 15, 16))))
+
+    def test_empty_input_rejected(self, model):
+        # a 0x16 image passes analysis's divisibility check; the first conv
+        # of each transform names the empty size
+        for run, shape, size in ((model.analysis, (1, 3, 0, 16), "0x16"),
+                                 (model.synthesis, (1, 8, 0, 2), "0x2"),
+                                 (model.hyper_synthesis, (1, 8, 0, 1), "0x1")):
+            with pytest.raises(ContractViolation, match=f"empty input {size}"):
+                run(T.Tensor(np.zeros(shape)))
 
     def test_determinism(self, model, rng):
         x = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
@@ -256,7 +264,7 @@ class TestEntropyParams:
             model.entropy_params_y(hf, y_ctx)
 
     def test_context_disabled_ignores_input(self, rng):
-        m = init_weights(ModelConfig(filters_n=8, mixtures_k=2, use_context_x=False), seed=3)
+        m = Model(ModelConfig(filters_n=8, mixtures_k=2, use_context_x=False)).init_random(3)
         pf = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
         a = m.entropy_params_x(pf, T.Tensor(rng.normal(size=(1, 3, 4, 4))))
         b = m.entropy_params_x(pf, T.Tensor(rng.normal(size=(1, 3, 4, 4))))
@@ -414,7 +422,7 @@ class TestAttention:
         # the order of the stages and where attention sits between them, in
         # both transforms and both hyper transforms
         cfg = ModelConfig(filters_n=4, mixtures_k=1, use_attention=use_attention)
-        m = init_weights(cfg, seed=6)
+        m = Model(cfg).init_random(6)
         rng = np.random.default_rng(16)
         for t in m.params.values():  # lift the near-zero attention finals
             t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
@@ -428,15 +436,15 @@ class TestAttention:
 
 class TestInit:
     def test_deterministic(self, small_config):
-        a = init_weights(small_config, seed=7).state()
-        b = init_weights(small_config, seed=7).state()
+        a = Model(small_config).init_random(7).state()
+        b = Model(small_config).init_random(7).state()
         assert a.keys() == b.keys()
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
     def test_seed_changes_weights(self, small_config):
-        a = init_weights(small_config, seed=7).state()
-        b = init_weights(small_config, seed=8).state()
+        a = Model(small_config).init_random(7).state()
+        b = Model(small_config).init_random(8).state()
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
     def test_initial_params_on_zero_image(self, model):
@@ -452,16 +460,16 @@ class TestInit:
         np.testing.assert_allclose(px.scales.data, 1.0, atol=0.05)
 
     def test_ablation_key_sets_shrink(self):
-        base = set(init_weights(ModelConfig(filters_n=8), 0).params)
-        no_attn = set(init_weights(ModelConfig(filters_n=8, use_attention=False), 0).params)
-        no_ctx = set(init_weights(ModelConfig(filters_n=8, use_context_x=False), 0).params)
+        base = set(Model(ModelConfig(filters_n=8)).init_random(0).params)
+        no_attn = set(Model(ModelConfig(filters_n=8, use_attention=False)).init_random(0).params)
+        no_ctx = set(Model(ModelConfig(filters_n=8, use_context_x=False)).init_random(0).params)
         assert no_attn < base
         assert no_ctx < base
         assert all(k.startswith(("ga.attn", "gs.attn")) for k in base - no_attn)
         assert all(k.startswith("ctx_x") for k in base - no_ctx)
 
     def test_prior_matches_factorized_prior_init(self, small_config):
-        model = init_weights(small_config, seed=3)
+        model = Model(small_config).init_random(3)
         want = FactorizedPrior.init(small_config.filters_n).pmf_table(E.LATENT_GRID)
         assert np.array_equal(model.prior.pmf_table(E.LATENT_GRID), want)
 
@@ -472,8 +480,8 @@ class TestInit:
         ({"use_attention": False}, 61, 61),
     ], ids=["use_context_x", "mixtures_k", "use_attention"])
     def test_shared_keys_get_identical_values(self, ablation, shared, keys):
-        full = init_weights(ModelConfig(filters_n=8), 5).params
-        ablated = init_weights(ModelConfig(filters_n=8, **ablation), 5).params
+        full = Model(ModelConfig(filters_n=8)).init_random(5).params
+        ablated = Model(ModelConfig(filters_n=8, **ablation)).init_random(5).params
         same_shape = [k for k, t in ablated.items() if t.data.shape == full[k].data.shape]
         assert (len(same_shape), len(ablated)) == (shared, keys)
         for k in same_shape:
@@ -505,7 +513,7 @@ class TestSerialization:
 
     def test_weight_hash_stable(self, model):
         assert weight_hash(model) == weight_hash(model)
-        other = init_weights(model.config, seed=99)
+        other = Model(model.config).init_random(99)
         assert weight_hash(model) != weight_hash(other)
 
     def test_file_round_trip(self, model, tmp_path):
@@ -525,7 +533,7 @@ class TestWeightsParsing:
 
     @pytest.fixture(scope="class")
     def blob(self):
-        return serialize_weights(init_weights(ModelConfig(filters_n=4, mixtures_k=1), 0))
+        return serialize_weights(Model(ModelConfig(filters_n=4, mixtures_k=1)).init_random(0))
 
     @staticmethod
     def data_start(blob):
@@ -614,7 +622,7 @@ class TestGradientFlow:
             assert rel_err(model.params[name].grad, want) < 1e-5, name
 
     def test_hyper_path_gradient(self, small_config, rng, kink_guard):
-        m = init_weights(small_config, seed=2)
+        m = Model(small_config).init_random(2)
         y_data = rng.normal(size=(1, 8, 4, 4)) * 0.1
 
         def fn(y):
@@ -634,7 +642,7 @@ class TestGradientFlow:
         # the parameters are leaves shared by both graphs; the first backward
         # must leave them usable, and the second must give the same grads
         cfg = ModelConfig(filters_n=4, mixtures_k=1, use_attention=False)
-        m = init_weights(cfg, seed=4)
+        m = Model(cfg).init_random(4)
         x = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
         grads = []
         for _ in range(2):
@@ -648,7 +656,7 @@ class TestGradientFlow:
 
     def test_analysis_synthesis_end_to_end_gradient(self, rng, kink_guard):
         cfg = ModelConfig(filters_n=4, mixtures_k=1, use_attention=False)
-        m = init_weights(cfg, seed=4)
+        m = Model(cfg).init_random(4)
         x_data = rng.normal(size=(1, 3, 16, 16)) * 0.5
 
         def fn(x):
