@@ -210,8 +210,9 @@ class FactorizedPrior:
 
     Each layer applies softplus(h)*u + b followed by u + tanh(a)*tanh(u);
     a final sigmoid bounds the result to (0, 1). Positive slopes and
-    |tanh(a)| < 1 make the composition monotone nondecreasing with limits 0
-    and 1, so differences of adjacent evaluations are valid probabilities.
+    |tanh(a)| < 1 make the composition nondecreasing with limits 0 and 1,
+    but the rounded sigmoid can step down by one ulp where a layer is nearly
+    flat, so pmf_table takes differences of its running maximum.
 
     The layer parameters, each of shape [C], may be arrays or Tensors;
     `Model.prior` holds the model's own `prior.{h,b,a}{i}` Tensors, so
@@ -250,6 +251,7 @@ class FactorizedPrior:
         edges = grid.edges()  # [n+1]
         with T.no_grad():
             cdf = self.cdf(np.broadcast_to(edges[:, None], (edges.size, self.channels))).data
+        np.maximum.accumulate(cdf, axis=0, out=cdf)  # so no mass is negative
         return _bin_masses(cdf.T.copy())  # [C, n+1] -> [C, n]
 
 

@@ -417,13 +417,3 @@ def deserialize_weights(blob: bytes) -> Model:
 
 def weight_hash(model: Model) -> bytes:
     return hashlib.sha256(serialize_weights(model)).digest()
-
-
-def save_weights(model: Model, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_weights(model))
-
-
-def load_weights(path) -> Model:
-    with open(path, "rb") as fh:
-        return deserialize_weights(fh.read())

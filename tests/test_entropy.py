@@ -11,7 +11,7 @@ from itertools import accumulate
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -347,6 +347,35 @@ def _prior_ref(prior, v):
     return out
 
 
+# One channel whose (h, b, a) layers make the composed cumulative nearly
+# flat: adjacent latent edges reach the sigmoid one ulp apart, where its
+# rounded value steps down, so plain differences of it give bin 240 a mass
+# of -2.8e-17.
+FLAT_LAYER_PRIOR = (
+    [[-0.8281946386133249], [-28.678147027202098], [-5.831884962013057]],
+    [[25.502549749893152], [-36.11239662613756], [-2.579901542693529]],
+    [[-16.50869328839256], [-3.0696405565418576], [-13.187022576525779]],
+)
+
+
+@st.composite
+def prior_layers(draw):
+    """(h, b, a) layer lists of 1-4 channels, every value in [-50, 50]."""
+    c = draw(st.integers(1, 4))
+    layer = st.lists(st.floats(-50, 50), min_size=c, max_size=c)
+    return tuple(draw(st.lists(layer, min_size=3, max_size=3)) for _ in "hba")
+
+
+def _assert_valid_prior_tables(layers):
+    """Every pmf_table row is nonnegative, sums to one and passes build_cdf."""
+    prior = E.FactorizedPrior(*([np.array(v) for v in kind] for kind in layers))
+    pmf = prior.pmf_table(E.LATENT_GRID)
+    assert (pmf >= 0).all()
+    np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for row in pmf:
+        E.build_cdf(row)
+
+
 class TestFactorizedPrior:
     def test_cdf_matches_reference(self, rng):
         for trial in range(20):
@@ -385,6 +414,15 @@ class TestFactorizedPrior:
             assert (np.diff(cdf, axis=0) >= 0).all()
             # float saturation to exactly 0/1 far in the tails is fine
             assert (cdf >= 0).all() and (cdf <= 1).all()
+
+    def test_flat_layer_masses_nonnegative(self):
+        _assert_valid_prior_tables(FLAT_LAYER_PRIOR)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(prior_layers())
+    @example(FLAT_LAYER_PRIOR)
+    def test_tables_valid_for_any_parameters(self, layers):
+        _assert_valid_prior_tables(layers)
 
 
 class TestQuantizers:

@@ -516,15 +516,6 @@ class TestSerialization:
         other = Model(model.config).init_random(99)
         assert weight_hash(model) != weight_hash(other)
 
-    def test_file_round_trip(self, model, tmp_path):
-        from nlic.network import load_weights, save_weights
-
-        path = tmp_path / "model.nlw"
-        save_weights(model, path)
-        restored = load_weights(path)
-        for k, t in model.params.items():
-            np.testing.assert_array_equal(restored.params[k].data, t.data)
-
 
 class TestWeightsParsing:
     """Malformed NLW2 blobs raise TruncationError or IntegrityError

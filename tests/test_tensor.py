@@ -368,7 +368,7 @@ class TestElementwise:
 
     @pytest.mark.parametrize("op", ["add", "mul", "sub", "div", "leaky_relu", "sigmoid",
                                     "softplus", "log", "square", "tanh",
-                                    "normal_cdf", "mean", "clamp_min"])
+                                    "normal_cdf", "clamp_min"])
     def test_gradients_each_op(self, rng, op, kink_guard):
         x = rng.normal(size=(2, 3, 4, 4))
         y = rng.normal(size=(2, 3, 4, 4))
@@ -504,7 +504,7 @@ class TestBackward:
         x = T.Tensor(rng.normal(size=3), requires_grad=True)
         loss = T.reduce_sum(T.square(x))
         loss.backward()
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="consumed by a prior backward"):
             loss.backward()
 
     def test_leaf_reused_in_second_graph(self, rng):
