@@ -13,12 +13,12 @@ output read as one number stays below 2^(8 * its length) and the walk stops
 at out[0] at the latest. No byte is dropped; the decoder starts from the
 first 4 bytes.
 
-Container layout, version 3. A varint is canonical unsigned LEB128 below
+Container layout, version 4. A varint is canonical unsigned LEB128 below
 2^32: 7 bits per byte, low group first, the high bit set on every byte but
 the last, at most 5 bytes and no trailing zero group.
 
     magic   "NLIC"                          4 bytes
-    version u8 (currently 3)                1
+    version u8 (currently 4)                1
     width, height                           2 varints
     padded_w - width, padded_h - height     2 varints
     config_hash                             32 (sha256 of canonical config text)
@@ -28,10 +28,12 @@ the last, at most 5 bytes and no trailing zero group.
     crc32 of everything above               u32 little-endian (poly 0xEDB88320, reflected)
 
 A 16x16 image takes 7 varint bytes, so its header and CRC are 80 bytes.
-Version 3 has the layout of version 2; the CDF tables changed from
-floor-and-repair to add-one quantization (entropy.build_cdf), so the same
-symbols code to other bytes. Versions 1 (a fixed 98-byte header with a u16
-version) and 2 are not read.
+Version 4 has the layout of version 3; each component's left tail below
+mu - 8.5 sd folds into its window (entropy.gmm_pmf_table), so the same
+symbols can code to other bytes. Version 3 has the layout of version 2; its
+CDF tables changed from floor-and-repair to add-one quantization
+(entropy.build_cdf). Versions 1 (a fixed 98-byte header with a u16
+version), 2 and 3 are not read.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
 MAGIC = b"NLIC"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _VARINT_MAX_BYTES = 5  # 5 x 7 bits cover 2^32 - 1
 
 

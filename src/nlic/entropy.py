@@ -6,6 +6,11 @@ prior for the hyper-latent, the train/inference quantizers, parameter
 determinization onto fixed lattices, and add-one fixed-point CDF
 construction. All public functions are pure over immutable inputs and safe
 to call concurrently.
+
+Each mixture component lives on the window mu ± TAIL_Z·sd, one constant for
+both sides: its left tail below the window folds into the window's first
+bin, and above it ndtr is exactly 1. So ndtr runs only inside the windows,
+and no coded byte depends on its deep left tail.
 """
 
 from __future__ import annotations
@@ -85,12 +90,10 @@ LATENT_GRID = SymbolGrid(lo=-127, hi=127, step_norm=1.0, lo_value=-127.0)
 # ---------------------------------------------------------------------------
 
 
-# scipy's ndtr is exactly 0.0 for z <= -37.677 and exactly 1.0 for z >= 8.2924.
-# The window bounds sit outside both with a margin; tests/test_entropy.py checks
-# the saturation against the installed scipy, so a scipy with another tail
-# fails the suite instead of changing the coded bytes.
-NDTR_ZERO_Z = -38.5
-NDTR_ONE_Z = 8.5
+# Half-width of each mixture component's window, in scales (gmm_pmf_table).
+# scipy's ndtr is exactly 1.0 from z = 8.2924 on, inside the upper bound;
+# tests/test_entropy.py checks that saturation against the installed scipy.
+TAIL_Z = 8.5
 
 
 def _mixture(weights, means, scales):
@@ -114,8 +117,9 @@ def _mixture(weights, means, scales):
 
 @lru_cache(maxsize=8)
 def _edge_tables(grid: SymbolGrid):
-    """Read-only bin edges of grid and the saturated cdf rows that prefill a
-    windowed table: row k is 0.0 before edge k and 1.0 from it on."""
+    """Read-only bin edges of grid and the step rows that fill a windowed
+    table outside its windows: row k is 0.0 before edge k and 1.0 from it
+    on."""
     edges = grid.edges()
     steps = np.triu(np.ones((edges.size + 1, edges.size)))
     edges.flags.writeable = steps.flags.writeable = False
@@ -146,37 +150,40 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     """Discrete pmf over the full support for every leading-index location.
 
     weights/means/scales have shape [..., K]; the result has shape
-    [..., n_symbols]. Each component's normal cumulative is evaluated at the
-    bin edges, the first and last edges are set to 0 and 1 so the end bins
+    [..., n_symbols]. Each component's cumulative is evaluated at the bin
+    edges, the first and last edges are set to 0 and 1 so the end bins
     absorb the tails, and the weighted bin differences are summed; each row
     sums to one by construction (up to float addition). Raises
     ContractViolation for non-finite means, non-finite or non-positive
     scales, negative or non-finite weights, or mismatched shapes.
 
-    ndtr is needed only inside each component's live window, the edges e
-    with mu + NDTR_ZERO_Z*sd <= e < mu + NDTR_ONE_Z*sd, each bound widened
-    by a slack. Below the window ndtr((e - mu)/sd) is exactly 0.0 and above
-    it exactly 1.0. The slack exceeds the rounding error of computing the
-    two bounds (an absolute error of one subnormal step included), so an
-    edge outside the window is, in exact arithmetic, beyond them; its
-    computed z then differs from a z beyond NDTR_ZERO_Z or NDTR_ONE_Z by
-    two roundings, far less than the margin to ndtr's saturation points.
-    Inside the window z comes from the same float operations as on every
-    edge. The table is therefore bit-identical to evaluating ndtr on all
-    edges.
+    A component's cumulative is ndtr((e - mu)/sd) inside its window, the
+    edges e with mu - TAIL_Z*sd <= e < mu + TAIL_Z*sd + slack, and exactly
+    0 below it: its left tail, at most ndtr(-TAIL_Z) ~ 9.5e-18, folds into
+    the window's first bin as the end bins absorb the tails beyond the grid.
+    The lower bound is the float mu - TAIL_Z*sd itself, so the fold is part
+    of the definition and needs no slack. Above the window ndtr is exactly
+    1.0: the slack exceeds the rounding error of computing the upper bound
+    (an absolute error of one subnormal step included), so an edge beyond
+    it is, in exact arithmetic, beyond mu + TAIL_Z*sd; its computed z then
+    differs from a z of at least TAIL_Z by two roundings, far less than the
+    margin to ndtr's saturation at 8.2924. Inside the window z comes from
+    the same float operations in both branches below, so each row's table
+    depends on its own parameters only, not on the rows that share its call.
 
     When the windows cover less than half of the edges, the live edges of
     all components are gathered into one ndtr call and scattered into a
-    table prefilled with the saturated values. Otherwise, as for wide
-    scales, the gather and scatter would cost more than the calls they
-    skip, and ndtr runs on every edge.
+    table prefilled with 0.0 below and 1.0 above each window. Otherwise, as
+    for wide scales, the gather and scatter would cost more than the calls
+    they skip: ndtr runs on every edge, and the few components whose window
+    starts above the first edge have the edges below it zeroed.
     """
     w, mu, sd = _mixture(weights, means, scales)
     edges, steps = _edge_tables(grid)
     mu_f, sd_f = mu.ravel(), sd.ravel()
-    slack = 2.0 ** -49 * (np.abs(mu_f) + 40.0 * sd_f) + 2.0 ** -1070
-    a = edges.searchsorted(mu_f + NDTR_ZERO_Z * sd_f - slack)
-    b = edges.searchsorted(mu_f + NDTR_ONE_Z * sd_f + slack)
+    slack = 2.0 ** -49 * (np.abs(mu_f) + TAIL_Z * sd_f) + 2.0 ** -1070
+    a = edges.searchsorted(mu_f - TAIL_Z * sd_f)
+    b = edges.searchsorted(mu_f + TAIL_Z * sd_f + slack)
     live = b - a
     total = int(live.sum())
     if 2 * total < live.size * edges.size:
@@ -196,6 +203,10 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         np.subtract(edges, mu[..., None], out=cdf)
         np.divide(cdf, sd[..., None], out=cdf)
         ndtr(cdf, out=cdf)
+        # fold the left tails: edges before a take 0.0, as in step row a
+        cut = np.flatnonzero(a)
+        rows = cdf.reshape(-1, edges.size)
+        rows[cut] = np.where(steps[a[cut]], rows[cut], 0.0)
     return np.einsum("...k,...ks->...s", w, _bin_masses(cdf))
 
 

@@ -341,24 +341,27 @@ class TestContainer:
         assert (z, y, x) == (b"zz", b"yyy", b"xxxx")
 
     def test_header_size_frozen(self):
-        # the v3 layout, that of v2, byte for byte: 7 one-byte varints make
-        # a 16x16 container with empty segments 80 bytes, header and CRC
+        # the v4 layout, that of v3 and v2, byte for byte: 7 one-byte
+        # varints make a 16x16 container with empty segments 80 bytes,
+        # header and CRC
         blob = write_container(self._header(), b"", b"", b"")
-        body = (b"NLIC" + bytes([3, 16, 16, 0, 0]) + bytes(range(64))
+        body = (b"NLIC" + bytes([4, 16, 16, 0, 0]) + bytes(range(64))
                 + bytes([0, 0, 0]))
         assert blob == body + struct.pack("<I", zlib.crc32(body))
         assert len(blob) == 80
 
     def test_bytes_pinned(self):
         # multi-byte varints in the sizes and padding; the digest moved with
-        # the version byte, from 2 to 3
+        # the version byte, from 2 to 3 and from 3 to 4: the v3 blob, digest
+        # c26ce37d018d66b4a4964ca8b26cc8c3e7edac3b9514dd7f7ea5bcc540e5214f,
+        # with byte 4 set to 4 and its CRC recomputed gives this one
         hdr = ContainerHeader(width=300, height=17, padded_w=304, padded_h=32,
                               config_hash=bytes(range(32)),
                               weight_hash=bytes(range(32, 64)))
         blob = write_container(hdr, b"zz", b"y" * 200, b"xxxx")
         assert blob[5:10] == bytes([0xAC, 0x02, 17, 4, 15])
         assert hashlib.sha256(blob).hexdigest() == (
-            "c26ce37d018d66b4a4964ca8b26cc8c3e7edac3b9514dd7f7ea5bcc540e5214f")
+            "d86b8f26c6a70689aa2f4a475a653636125ee411de42f9041fc3c670b536eaa2")
         assert read_container(blob) == (hdr, b"zz", b"y" * 200, b"xxxx")
 
     @staticmethod
@@ -413,6 +416,12 @@ class TestContainer:
         # floor-and-repair tables
         with pytest.raises(VersionError, match="version 2"):
             read_container(self._raw(bytes([16, 16, 0, 0]), version=2))
+
+    def test_v3_container_rejected(self):
+        # v3 has the v4 layout, but its tables evaluated each component's
+        # left tail below mu - 8.5 sd instead of folding it into the window
+        with pytest.raises(VersionError, match="version 3"):
+            read_container(self._raw(bytes([16, 16, 0, 0]), version=3))
 
     @pytest.mark.parametrize("sizes", [
         (16, 16, 15, 16), (16, 16, 16, 8), (-1, 16, 16, 16), (16, 16, 16, -16),

@@ -60,13 +60,15 @@ class TestGmmPmf:
 
 
 def _gmm_pmf_table_full(weights, means, scales, grid):
-    """Reference gmm_pmf_table: ndtr on every edge of every component."""
+    """Reference gmm_pmf_table: ndtr on every edge of every component, and 0
+    below mu - TAIL_Z*sd, where each component's left tail folds into its
+    window."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     sd = np.asarray(scales, dtype=np.float64)
     edges = grid.edges()
     z = (edges - mu[..., None]) / sd[..., None]  # [..., K, n+1]
-    cdf = ndtr(z)
+    cdf = np.where(edges < (mu - E.TAIL_Z * sd)[..., None], 0.0, ndtr(z))
     cdf[..., 0] = 0.0
     cdf[..., -1] = 1.0
     pmf_k = np.diff(cdf, axis=-1)
@@ -75,8 +77,8 @@ def _gmm_pmf_table_full(weights, means, scales, grid):
 
 GRIDS = pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID], ids=["pixel", "latent"])
 
-# where scipy's ndtr saturates: exactly 0.0 at and below the first, exactly
-# 1.0 at and above the second
+# where scipy's ndtr saturates: exactly 0.0 at and below the first, deep in
+# the folded left tail, and exactly 1.0 at and above the second
 NDTR_SATURATION_Z = (-37.67712072049519, 8.292361075813597)
 
 
@@ -110,8 +112,8 @@ def mixture_batches(draw):
     """(w, mu, sd, grid) with [L, K] parameters. Each component's scale is
     drawn from the determinize range or from anywhere in (0, 1e6], subnormal
     included; its mean is drawn freely (beyond the grid too) or placed so
-    that mu + Z*sd falls on a bin edge, for Z a window constant or an ndtr
-    saturation point, up to 2 ulps either side."""
+    that mu + Z*sd falls on a bin edge, for Z = -TAIL_Z or TAIL_Z (a window
+    bound) or an ndtr saturation point, up to 2 ulps either side."""
     grid = draw(st.sampled_from([E.PIXEL_GRID, E.LATENT_GRID]))
     edges = grid.edges()
     k = draw(st.integers(1, 4))
@@ -125,14 +127,15 @@ def mixture_batches(draw):
             mu[i] = draw(st.floats(-3 * grid.span, 3 * grid.span))
         else:
             edge = edges[draw(st.integers(0, edges.size - 1))]
-            z = draw(st.sampled_from([E.NDTR_ZERO_Z, E.NDTR_ONE_Z, *NDTR_SATURATION_Z]))
+            z = draw(st.sampled_from([-E.TAIL_Z, E.TAIL_Z, *NDTR_SATURATION_Z]))
             mu[i] = draw(st.sampled_from(ulp_neighbours(edge - z * sd[i])))
     w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=mu.size, max_size=mu.size)))
     return w.reshape(mu.shape), mu, sd, grid
 
 
 class TestGmmPmfTableOracle:
-    """The windowed gmm_pmf_table against ndtr on every edge, bit for bit."""
+    """The windowed gmm_pmf_table against ndtr on every edge with the left
+    tails folded, bit for bit."""
 
     @staticmethod
     def assert_same(w, mu, sd, grid):
@@ -169,7 +172,7 @@ class TestGmmPmfTableOracle:
             self.assert_same(w, mu, scales, grid)
 
     @GRIDS
-    @pytest.mark.parametrize("z", [E.NDTR_ZERO_Z, E.NDTR_ONE_Z, *NDTR_SATURATION_Z],
+    @pytest.mark.parametrize("z", [-E.TAIL_Z, E.TAIL_Z, *NDTR_SATURATION_Z],
                              ids=["zero-bound", "one-bound", "zero-saturation", "one-saturation"])
     def test_window_bound_on_edge(self, grid, z):
         # mu + z*sd on a bin edge, and 1 and 2 ulps of mu either side of it;
@@ -214,6 +217,26 @@ class TestGmmPmfTableOracle:
                 assert len(shape) == 1 and 2 * shape[0] < mu.size * n_edges
             else:
                 assert shape == mu.shape + (n_edges,)
+
+    @GRIDS
+    @pytest.mark.parametrize("wide_rows", [6, 26], ids=["gathered", "dense"])
+    def test_row_independent_of_batch(self, grid, wide_rows, ndtr_shapes, rng):
+        # each row of a determinized batch equals that row alone: a batch of
+        # mostly narrow rows takes the gather, one of mostly grid-span rows
+        # takes ndtr on every edge, and each row alone takes its own branch
+        w, mu, _ = random_gmm_params(rng, (32,), 3, grid)
+        narrow = np.where(rng.random(mu.shape) < 0.5, E.SCALE_FLOOR,
+                          E.SCALE_FLOOR * (grid.step_norm / E.SCALE_FLOOR) ** rng.random(mu.shape))
+        wide = (rng.permutation(32) < wide_rows)[:, None]
+        batch = E.determinize(w, mu, np.where(wide, grid.span, narrow), grid)
+        ndtr_shapes.clear()
+        tables = E.gmm_pmf_table(*batch, grid)
+        (shape,) = ndtr_shapes
+        assert (len(shape) == 1) == (wide_rows < 16)
+        for row in range(32):
+            np.testing.assert_array_equal(E.gmm_pmf_table(*(a[row] for a in batch), grid),
+                                          tables[row])
+        assert {len(shape) == 1 for shape in ndtr_shapes[1:]} == {True, False}
 
     @GRIDS
     @pytest.mark.parametrize("scale", ["floor", "mixed", "span"])
@@ -285,22 +308,37 @@ class TestTableBuffers:
 
 class TestNdtrSaturation:
     """gmm_pmf_table fills the edges outside its windows with 0.0 and 1.0
-    instead of calling ndtr there: a scipy whose ndtr tail differs must fail
-    here, not change the coded bytes."""
+    instead of calling ndtr there. Above a window that is ndtr's own value,
+    so a scipy whose ndtr saturates later must fail here, not change the
+    coded bytes; below it ndtr is never called."""
 
-    def test_zero_at_and_below_low_bound(self):
-        z = np.concatenate([
-            np.linspace(E.NDTR_ZERO_Z - 100.0, E.NDTR_ZERO_Z, 10 ** 6),
-            -np.logspace(np.log10(-E.NDTR_ZERO_Z), 308, 10 ** 4),
-            [np.nextafter(E.NDTR_ZERO_Z, -np.inf), -np.finfo(np.float64).max, -np.inf]])
-        assert (ndtr(z) == 0.0).all()
-        assert ndtr(NDTR_SATURATION_Z[0]) == 0.0 < ndtr(np.nextafter(NDTR_SATURATION_Z[0], 0))
+    @GRIDS
+    def test_left_tail_never_evaluated(self, grid, monkeypatch, rng):
+        # an ndtr that is NaN wherever z < -TAIL_Z leaves every table as it
+        # is, through both branches: the coded bytes do not depend on
+        # scipy's deep left tail
+        branches = set()
+
+        def left_tail_nan(z, out=None):
+            branches.add(np.ndim(z) == 1)
+            return ndtr(np.where(z < -E.TAIL_Z, np.nan, z), out=out)
+
+        w, mu, sd = random_gmm_params(rng, (64, 3), 3, grid)
+        mostly_wide = np.where(rng.random(sd.shape) < 0.8, grid.span, sd)  # dense
+        batches = []
+        for scales in (sd, np.full_like(sd, E.SCALE_FLOOR), mostly_wide):
+            batches += [(w, mu, scales), E.determinize(w, mu, scales, grid)]
+        expected = [E.gmm_pmf_table(*batch, grid) for batch in batches]
+        monkeypatch.setattr(E, "ndtr", left_tail_nan)
+        for batch, want in zip(batches, expected, strict=True):
+            np.testing.assert_array_equal(E.gmm_pmf_table(*batch, grid), want)
+        assert branches == {True, False}
 
     def test_one_at_and_above_high_bound(self):
         z = np.concatenate([
-            np.linspace(E.NDTR_ONE_Z, E.NDTR_ONE_Z + 100.0, 10 ** 6),
-            np.logspace(np.log10(E.NDTR_ONE_Z), 308, 10 ** 4),
-            [np.nextafter(E.NDTR_ONE_Z, np.inf), np.finfo(np.float64).max, np.inf]])
+            np.linspace(E.TAIL_Z, E.TAIL_Z + 100.0, 10 ** 6),
+            np.logspace(np.log10(E.TAIL_Z), 308, 10 ** 4),
+            [np.nextafter(E.TAIL_Z, np.inf), np.finfo(np.float64).max, np.inf]])
         assert (ndtr(z) == 1.0).all()
         assert ndtr(NDTR_SATURATION_Z[1]) == 1.0 > ndtr(np.nextafter(NDTR_SATURATION_Z[1], 0))
 
@@ -1048,12 +1086,15 @@ class TestBuildCdfOracle:
     def test_bytes_pinned(self):
         # sha256 of the uint32 little-endian tables of pinned_pmf_rows(),
         # concatenated, under the add-one rule; any change to the tables
-        # changes the coded bytes
+        # changes the coded bytes. The digest moved when the left tails
+        # below mu - TAIL_Z*sd folded into the windows: of the 128 mixture
+        # rows one table changed, where C_225 * 65280 went from
+        # 65279.99999999999 to 65280.000000000015
         digest = hashlib.sha256()
         for pmf in pinned_pmf_rows():
             digest.update(E.build_cdf(pmf).astype("<u4").tobytes())
         assert digest.hexdigest() == (
-            "35de17478ae54d109312912c3debca3d56aae0411e090ce51e234f81040dd5bf")
+            "03c1b413621e95f647869793954e8192c4e1a315f369ac4da9a10de63948bb5c")
 
 
 class TestSymbolGrid:
