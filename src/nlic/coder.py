@@ -28,8 +28,8 @@ the last, at most 5 bytes and no trailing zero group.
     crc32 of everything above               u32 little-endian (poly 0xEDB88320, reflected)
 
 A 16x16 image takes 7 varint bytes, so its header and CRC are 80 bytes.
-Version 4 has the layout of version 3; each component's left tail below
-mu - 8.5 sd folds into its window (entropy.gmm_pmf_table), so the same
+Version 4 has the layout of version 3; each component's tails beyond
+mu ± 8.5 sd fold into its window (entropy.gmm_pmf_table), so the same
 symbols can code to other bytes. Version 3 has the layout of version 2; its
 CDF tables changed from floor-and-repair to add-one quantization
 (entropy.build_cdf). Versions 1 (a fixed 98-byte header with a u16

@@ -7,10 +7,10 @@ determinization onto fixed lattices, and add-one fixed-point CDF
 construction. All public functions are pure over immutable inputs and safe
 to call concurrently.
 
-Each mixture component lives on the window mu ± TAIL_Z·sd, one constant for
-both sides: its left tail below the window folds into the window's first
-bin, and above it ndtr is exactly 1. So ndtr runs only inside the windows,
-and no coded byte depends on its deep left tail.
+Each mixture component lives on the window mu ± TAIL_Z·sd: its cumulative
+is 0 below the window, ndtr inside it and 1 from its upper bound on, so
+both tails fold into the window. ndtr runs only inside the windows, so no
+coded byte depends on it outside [-TAIL_Z, TAIL_Z), up to rounding.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ LATENT_GRID = SymbolGrid(lo=-127, hi=127, step_norm=1.0, lo_value=-127.0)
 # ---------------------------------------------------------------------------
 
 
-# Half-width of each mixture component's window, in scales (gmm_pmf_table).
-# scipy's ndtr is exactly 1.0 from z = 8.2924 on, inside the upper bound;
-# tests/test_entropy.py checks that saturation against the installed scipy.
+# Half-width of each mixture component's window, in scales: gmm_pmf_table
+# folds both tails beyond it into the window, so ndtr runs only on
+# [-TAIL_Z, TAIL_Z) and each fold moves at most ndtr(-TAIL_Z) ~ 9.5e-18.
 TAIL_Z = 8.5
 
 
@@ -157,33 +157,28 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     ContractViolation for non-finite means, non-finite or non-positive
     scales, negative or non-finite weights, or mismatched shapes.
 
-    A component's cumulative is ndtr((e - mu)/sd) inside its window, the
-    edges e with mu - TAIL_Z*sd <= e < mu + TAIL_Z*sd + slack, and exactly
-    0 below it: its left tail, at most ndtr(-TAIL_Z) ~ 9.5e-18, folds into
-    the window's first bin as the end bins absorb the tails beyond the grid.
-    The lower bound is the float mu - TAIL_Z*sd itself, so the fold is part
-    of the definition and needs no slack. Above the window ndtr is exactly
-    1.0: the slack exceeds the rounding error of computing the upper bound
-    (an absolute error of one subnormal step included), so an edge beyond
-    it is, in exact arithmetic, beyond mu + TAIL_Z*sd; its computed z then
-    differs from a z of at least TAIL_Z by two roundings, far less than the
-    margin to ndtr's saturation at 8.2924. Inside the window z comes from
-    the same float operations in both branches below, so each row's table
-    depends on its own parameters only, not on the rows that share its call.
+    A component's cumulative at edge e is 0 for e < lo, ndtr((e - mu)/sd)
+    for lo <= e < hi and 1 for e >= hi, with lo and hi the floats mu -/+
+    TAIL_Z*sd (infinite where they overflow). So both tails fold into the
+    window's end bins by definition, whatever the rounding of lo and hi,
+    and no coded byte depends on ndtr outside [-TAIL_Z, TAIL_Z), up to the
+    rounding of z. Inside the window z comes from the same float
+    operations in both branches below, so each row's table depends on its
+    own parameters only, not on the rows that share its call.
 
     When the windows cover less than half of the edges, the live edges of
     all components are gathered into one ndtr call and scattered into a
     table prefilled with 0.0 below and 1.0 above each window. Otherwise, as
     for wide scales, the gather and scatter would cost more than the calls
     they skip: ndtr runs on every edge, and the few components whose window
-    starts above the first edge have the edges below it zeroed.
+    does not cover every edge take the prefill's values outside it.
     """
     w, mu, sd = _mixture(weights, means, scales)
     edges, steps = _edge_tables(grid)
     mu_f, sd_f = mu.ravel(), sd.ravel()
-    slack = 2.0 ** -49 * (np.abs(mu_f) + TAIL_Z * sd_f) + 2.0 ** -1070
-    a = edges.searchsorted(mu_f - TAIL_Z * sd_f)
-    b = edges.searchsorted(mu_f + TAIL_Z * sd_f + slack)
+    with np.errstate(over="ignore"):
+        a = edges.searchsorted(mu_f - TAIL_Z * sd_f)
+        b = edges.searchsorted(mu_f + TAIL_Z * sd_f)
     live = b - a
     total = int(live.sum())
     if 2 * total < live.size * edges.size:
@@ -201,12 +196,14 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         # whatever the parameters' layout, as _bin_masses needs
         cdf = np.empty(mu.shape + edges.shape)
         np.subtract(edges, mu[..., None], out=cdf)
-        np.divide(cdf, sd[..., None], out=cdf)
+        with np.errstate(over="ignore"):  # z is +-inf for tiny scales
+            np.divide(cdf, sd[..., None], out=cdf)
         ndtr(cdf, out=cdf)
-        # fold the left tails: edges before a take 0.0, as in step row a
-        cut = np.flatnonzero(a)
+        # fold the tails: outside [a, b) each row takes step row b's value
+        cut = np.flatnonzero((a > 0) | (b < edges.size))
         rows = cdf.reshape(-1, edges.size)
-        rows[cut] = np.where(steps[a[cut]], rows[cut], 0.0)
+        fill = steps[b[cut]]
+        rows[cut] = np.where(steps[a[cut]] > fill, rows[cut], fill)
     return np.einsum("...k,...ks->...s", w, _bin_masses(cdf))
 
 
@@ -349,11 +346,13 @@ def determinize(weights, means, scales, grid: SymbolGrid):
     already sums to one within K/4096 (precisely: when its floored counts
     total between 4096 - K and 4096), as softmax rows do. Other rows are
     not renormalized: an all-zero K=3 row comes back summing to 3/4096, and
-    a row of 0.9s to 2.6997.
+    a row of 0.9s to 2.6997. Weights and means too large for their lattices
+    come back non-finite, so gmm_pmf_table's ContractViolation names them.
     """
-    w = _weights_largest_remainder(np.asarray(weights, dtype=np.float64))
-    mean_step = grid.step_norm / MEAN_LATTICE
-    m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weights_largest_remainder(np.asarray(weights, dtype=np.float64))
+        mean_step = grid.step_norm / MEAN_LATTICE
+        m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
     s = _scale_lattice_round(np.asarray(scales, dtype=np.float64), grid)
     return w, m, s
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import struct
 import zlib
 from bisect import bisect_right
@@ -473,3 +474,26 @@ class TestContainer:
         with pytest.raises(IntegrityError, match="declare") as info:
             read_container(blob + b"\x00")
         assert not isinstance(info.value, TruncationError)
+
+
+def _finished_encoder():
+    enc = RangeEncoder()
+    enc.finish()
+    return enc
+
+
+def _short_hash_container():
+    hdr = ContainerHeader(width=16, height=16, padded_w=16, padded_h=16,
+                          config_hash=bytes(32), weight_hash=bytes(31))
+    return write_container(hdr, b"", b"", b"")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _finished_encoder().encode_symbol(0, np.array([0, E.CDF_TOTAL])),
+     "encoder already finished"),
+    (lambda: _finished_encoder().finish(), "encoder already finished"),
+    (_short_hash_container, "hashes must be 32 bytes"),
+], ids=["encode-after-finish", "finish-after-finish", "31-byte-hash"])
+def test_contract_violations(call, message):
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        call()

@@ -60,15 +60,16 @@ class TestGmmPmf:
 
 
 def _gmm_pmf_table_full(weights, means, scales, grid):
-    """Reference gmm_pmf_table: ndtr on every edge of every component, and 0
-    below mu - TAIL_Z*sd, where each component's left tail folds into its
-    window."""
+    """Reference gmm_pmf_table: ndtr on every edge of every component, 0
+    below mu - TAIL_Z*sd and 1 from mu + TAIL_Z*sd on, where each
+    component's tails fold into its window."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     sd = np.asarray(scales, dtype=np.float64)
     edges = grid.edges()
     z = (edges - mu[..., None]) / sd[..., None]  # [..., K, n+1]
     cdf = np.where(edges < (mu - E.TAIL_Z * sd)[..., None], 0.0, ndtr(z))
+    cdf[edges >= (mu + E.TAIL_Z * sd)[..., None]] = 1.0
     cdf[..., 0] = 0.0
     cdf[..., -1] = 1.0
     pmf_k = np.diff(cdf, axis=-1)
@@ -77,8 +78,9 @@ def _gmm_pmf_table_full(weights, means, scales, grid):
 
 GRIDS = pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID], ids=["pixel", "latent"])
 
-# where scipy's ndtr saturates: exactly 0.0 at and below the first, deep in
-# the folded left tail, and exactly 1.0 at and above the second
+# where scipy's ndtr saturates: exactly 0.0 at and below the first and
+# exactly 1.0 at and above the second, both in the folded tails; no table
+# may depend on them, so the window-bound probes place edges there too
 NDTR_SATURATION_Z = (-37.67712072049519, 8.292361075813597)
 
 
@@ -110,10 +112,11 @@ def ndtr_shapes(monkeypatch):
 @st.composite
 def mixture_batches(draw):
     """(w, mu, sd, grid) with [L, K] parameters. Each component's scale is
-    drawn from the determinize range or from anywhere in (0, 1e6], subnormal
-    included; its mean is drawn freely (beyond the grid too) or placed so
-    that mu + Z*sd falls on a bin edge, for Z = -TAIL_Z or TAIL_Z (a window
-    bound) or an ndtr saturation point, up to 2 ulps either side."""
+    drawn from the determinize range or from any positive float, subnormal
+    and overflowing TAIL_Z*sd included; its mean is drawn freely (beyond
+    the grid too) or, where that is finite, placed so that mu + Z*sd falls
+    on a bin edge, for Z = -TAIL_Z or TAIL_Z (a window bound) or an ndtr
+    saturation point, up to 2 ulps either side."""
     grid = draw(st.sampled_from([E.PIXEL_GRID, E.LATENT_GRID]))
     edges = grid.edges()
     k = draw(st.integers(1, 4))
@@ -122,27 +125,28 @@ def mixture_batches(draw):
     sd = np.empty((n_rows, k))
     for i in np.ndindex(mu.shape):
         sd[i] = draw(st.one_of(st.floats(E.SCALE_FLOOR, grid.span),
-                               st.floats(5e-324, 1e6, exclude_min=False)))
-        if draw(st.booleans()):
+                               st.floats(5e-324, np.finfo(np.float64).max)))
+        edge = edges[draw(st.integers(0, edges.size - 1))]
+        z = draw(st.sampled_from([-E.TAIL_Z, E.TAIL_Z, *NDTR_SATURATION_Z]))
+        with np.errstate(over="ignore"):
+            placed = [m for m in ulp_neighbours(edge - z * sd[i]) if np.isfinite(m)]
+        if draw(st.booleans()) or not placed:
             mu[i] = draw(st.floats(-3 * grid.span, 3 * grid.span))
         else:
-            edge = edges[draw(st.integers(0, edges.size - 1))]
-            z = draw(st.sampled_from([-E.TAIL_Z, E.TAIL_Z, *NDTR_SATURATION_Z]))
-            mu[i] = draw(st.sampled_from(ulp_neighbours(edge - z * sd[i])))
+            mu[i] = draw(st.sampled_from(placed))
     w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=mu.size, max_size=mu.size)))
     return w.reshape(mu.shape), mu, sd, grid
 
 
 class TestGmmPmfTableOracle:
-    """The windowed gmm_pmf_table against ndtr on every edge with the left
-    tails folded, bit for bit."""
+    """The windowed gmm_pmf_table against ndtr on every edge with both
+    tails folded, bit for bit; gmm_pmf_table itself must not warn."""
 
     @staticmethod
     def assert_same(w, mu, sd, grid):
         with np.errstate(over="ignore"):
             expected = _gmm_pmf_table_full(w, mu, sd, grid)
-            got = E.gmm_pmf_table(w, mu, sd, grid)
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(E.gmm_pmf_table(w, mu, sd, grid), expected)
 
     @GRIDS
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -154,10 +158,12 @@ class TestGmmPmfTableOracle:
             self.assert_same(*E.determinize(w, mu, sd, grid), grid)
 
     @GRIDS
-    @pytest.mark.parametrize("at", ["floor", "span"])
+    @pytest.mark.parametrize("at", ["floor", "span", "max"])
     def test_scale_ends(self, grid, at, rng):
+        # at the largest float TAIL_Z*sd overflows, and the window is every
+        # edge without a warning
         w, mu, sd = random_gmm_params(rng, (64,), 3, grid)
-        sd[:] = E.SCALE_FLOOR if at == "floor" else grid.span
+        sd[:] = {"floor": E.SCALE_FLOOR, "span": grid.span, "max": np.finfo(np.float64).max}[at]
         self.assert_same(w, mu, sd, grid)
         self.assert_same(*E.determinize(w, mu, sd, grid), grid)
 
@@ -193,14 +199,21 @@ class TestGmmPmfTableOracle:
         mu = np.array([ulp_neighbours(e) for e in edges[::17]])
         self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, scale), grid)
 
-    def test_subnormal_scale_bounds(self):
+    def test_subnormal_scale_bounds(self, ndtr_shapes):
         # 8.5 * 2^-1074 rounds to 8 * 2^-1074, so for mu = -8 * 2^-1074 the
-        # computed upper bound lands on the edge at 0, where z = 8 and ndtr
-        # is not yet 1: the slack must cover the rounding of a subnormal
+        # upper bound lands on the edge at 0, where z = 8 and ndtr is not yet
+        # 1: that edge is at the bound, so its cumulative is 1. Alone, the
+        # rows take the gather; next to a component as wide as the grid,
+        # whose window is every edge, they take the dense branch, where z
+        # overflows to +-inf beyond the window
         grid = E.SymbolGrid(lo=0, hi=7, step_norm=1.0, lo_value=-3.5)  # edges -4..4
         tiny = 5e-324
         mu = np.arange(-40, 41)[:, None] * tiny
         self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, tiny), grid)
+        mu = np.repeat(mu, 2, axis=1)
+        sd = np.where([True, False], tiny, grid.span)
+        self.assert_same(np.ones(mu.shape), mu, np.broadcast_to(sd, mu.shape), grid)
+        assert [len(shape) for shape in ndtr_shapes] == [1, 3]
 
     @GRIDS
     def test_each_branch(self, grid, ndtr_shapes, rng):
@@ -308,20 +321,21 @@ class TestTableBuffers:
 
 class TestNdtrSaturation:
     """gmm_pmf_table fills the edges outside its windows with 0.0 and 1.0
-    instead of calling ndtr there. Above a window that is ndtr's own value,
-    so a scipy whose ndtr saturates later must fail here, not change the
-    coded bytes; below it ndtr is never called."""
+    instead of calling ndtr there, so no table depends on where, or
+    whether, scipy's ndtr saturates."""
 
     @GRIDS
-    def test_left_tail_never_evaluated(self, grid, monkeypatch, rng):
-        # an ndtr that is NaN wherever z < -TAIL_Z leaves every table as it
+    def test_tails_never_evaluated(self, grid, monkeypatch, rng):
+        # an ndtr that is NaN wherever |z| > TAIL_Z leaves every table as it
         # is, through both branches: the coded bytes do not depend on
-        # scipy's deep left tail
+        # scipy's tails. The margin of a few ulps keeps the NaN off the
+        # edges inside a window whose z rounds past a bound
         branches = set()
+        limit = E.TAIL_Z + 4 * np.spacing(E.TAIL_Z)
 
-        def left_tail_nan(z, out=None):
+        def tails_nan(z, out=None):
             branches.add(np.ndim(z) == 1)
-            return ndtr(np.where(z < -E.TAIL_Z, np.nan, z), out=out)
+            return ndtr(np.where(np.abs(z) > limit, np.nan, z), out=out)
 
         w, mu, sd = random_gmm_params(rng, (64, 3), 3, grid)
         mostly_wide = np.where(rng.random(sd.shape) < 0.8, grid.span, sd)  # dense
@@ -329,18 +343,10 @@ class TestNdtrSaturation:
         for scales in (sd, np.full_like(sd, E.SCALE_FLOOR), mostly_wide):
             batches += [(w, mu, scales), E.determinize(w, mu, scales, grid)]
         expected = [E.gmm_pmf_table(*batch, grid) for batch in batches]
-        monkeypatch.setattr(E, "ndtr", left_tail_nan)
+        monkeypatch.setattr(E, "ndtr", tails_nan)
         for batch, want in zip(batches, expected, strict=True):
             np.testing.assert_array_equal(E.gmm_pmf_table(*batch, grid), want)
         assert branches == {True, False}
-
-    def test_one_at_and_above_high_bound(self):
-        z = np.concatenate([
-            np.linspace(E.TAIL_Z, E.TAIL_Z + 100.0, 10 ** 6),
-            np.logspace(np.log10(E.TAIL_Z), 308, 10 ** 4),
-            [np.nextafter(E.TAIL_Z, np.inf), np.finfo(np.float64).max, np.inf]])
-        assert (ndtr(z) == 1.0).all()
-        assert ndtr(NDTR_SATURATION_Z[1]) == 1.0 > ndtr(np.nextafter(NDTR_SATURATION_Z[1], 0))
 
 
 class TestMixtureContract:
@@ -358,6 +364,17 @@ class TestMixtureContract:
         with pytest.raises(ContractViolation, match=field):
             E.gmm_pmf_table(params["weights"][2, 1], params["means"][2, 1],
                             params["scales"][2, 1], grid)
+
+    @GRIDS
+    @pytest.mark.parametrize("field", ["weights", "means"])
+    def test_overflow_through_determinize_rejected(self, grid, field, rng):
+        # a value too large for its lattice comes back from determinize
+        # non-finite, without a warning, and gmm_pmf_table names the field
+        params = dict(zip(("weights", "means", "scales"), random_gmm_params(rng, (4, 3), 3, grid)))
+        params[field][2, 1] = 1e306
+        batch = E.determinize(params["weights"], params["means"], params["scales"], grid)
+        with pytest.raises(ContractViolation, match=field):
+            E.gmm_pmf_table(*batch, grid)
 
     @pytest.mark.parametrize("w_shape, mu_shape, sd_shape", [
         ((4, 2), (4, 3), (4, 3)), ((4, 3), (4, 2), (4, 3)), ((4, 3), (4, 3), (4, 2)),

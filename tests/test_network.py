@@ -487,6 +487,12 @@ class TestInit:
         for k in same_shape:
             np.testing.assert_array_equal(full[k].data, ablated[k].data)
 
+    def test_duplicate_parameter_rejected(self):
+        store = _ParamStore()
+        store.add("head.w", (2, 3), "zeros")
+        with pytest.raises(ContractViolation, match="duplicate parameter head.w"):
+            store.add("head.w", (2, 3), "zeros")
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, model):

@@ -1,6 +1,7 @@
 """Autodiff engine tests: oracle comparisons, finite-difference checks and
 the no_grad context."""
 
+import re
 import threading
 
 import numpy as np
@@ -289,6 +290,31 @@ class TestConvTransposed:
             return T.reduce_sum(T.square(T.conv2d_transposed(xt, wt, bt)))
 
         check_grads(fn, [x, w, b], kink_guard)
+
+
+def _conv_args(x, w, b):
+    return T.Tensor(np.zeros(x)), T.Tensor(np.zeros(w)), T.Tensor(np.zeros(b))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: T.conv2d(*_conv_args((3, 4, 4), (2, 3, 3, 3), 2)),
+     "conv2d: input must be 4-D, got 3-D"),
+    (lambda: T.conv2d(*_conv_args((1, 3, 4, 4), (2, 3, 3), 2)),
+     "conv2d: weight must be 4-D, got 3-D"),
+    (lambda: T.conv2d(*_conv_args((1, 3, 4, 4), (2, 3, 3, 3), 3)),
+     "conv2d: bias shape (3,) != (2,)"),
+    (lambda: T.conv2d_transposed(*_conv_args((2, 3, 3), (2, 3, 4, 4), 3)),
+     "conv2d_transposed: input and weight must be 4-D"),
+    (lambda: T.conv2d_transposed(*_conv_args((1, 3, 3, 3), (2, 3, 4, 4), 3)),
+     "conv2d_transposed: input channels 3 != weight Cin 2"),
+    (lambda: T.conv2d_transposed(*_conv_args((1, 2, 3, 3), (2, 3, 4, 4), 2)),
+     "conv2d_transposed: bias shape (2,) != (3,)"),
+    (lambda: T.Tensor(np.zeros(2)).item(), "item() on tensor of size 2"),
+], ids=["conv2d-3d-input", "conv2d-3d-weight", "conv2d-bias", "transposed-3d-input",
+        "transposed-channels", "transposed-bias", "item-non-scalar"])
+def test_contract_violations(call, message):
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        call()
 
 
 class TestMaskedConv:
