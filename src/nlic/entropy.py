@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import tensor as T
 from .errors import ContractViolation, PrecisionError
+from .tensor import ndtr
 
 CDF_PRECISION = 16
 CDF_TOTAL = 1 << CDF_PRECISION

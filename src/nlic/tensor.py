@@ -25,18 +25,51 @@ Tensors are treated as immutable once created. A graph and its tensors are
 confined to a single thread; independent graphs may run concurrently.
 ``no_grad`` is a context variable, so entering it in one thread (or asyncio
 task) leaves recording on in every other.
+
+``ndtr`` is scipy's ufunc, loaded from the compiled module that defines it
+rather than through ``scipy.special``, whose import is most of a process's
+start-up; ``entropy`` takes it from here.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import os
+import sys
+from importlib import machinery, util
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtr
 
 from .errors import ContractViolation
+
+
+def _load_ndtr():
+    """scipy.special.ndtr, loaded from the compiled module that defines it;
+    imports scipy.special only if that module cannot be found or loaded."""
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    scipy = None if module is not None else util.find_spec("scipy")
+    spec = scipy and machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "special"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is not None:
+        try:
+            module = sys.modules[name] = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            module = None
+    ufunc = getattr(module, "ndtr", None)
+    if isinstance(ufunc, np.ufunc) and ufunc.__name__ == "ndtr":
+        return ufunc
+    if spec is not None:
+        sys.modules.pop(name, None)
+    from scipy.special import ndtr
+    return ndtr
+
+
+ndtr = _load_ndtr()
 
 LEAKY_SLOPE = 0.2
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)

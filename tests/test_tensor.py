@@ -1,14 +1,23 @@
 """Autodiff engine tests: oracle comparisons, finite-difference checks and
 the no_grad context."""
 
+import importlib.machinery
+import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import nlic
 from nlic import tensor as T
+from nlic.entropy import TAIL_Z
 from nlic.errors import ContractViolation
 
 from conftest import finite_difference, rel_err
@@ -699,3 +708,72 @@ class TestGradientSuiteRandomized:
             return T.reduce_sum(T.square(h))
 
         check_grads(fn, [x, w, b], kink_guard)
+
+
+class TestNdtrSource:
+    """`ndtr` comes from scipy's compiled module, not through scipy.special,
+    and is the very ufunc scipy.special exports."""
+
+    MODULE = "scipy.special._special_ufuncs"
+
+    def test_import_skips_scipy_special(self):
+        code = ("import json, sys, nlic.tensor, nlic.entropy, nlic.network, nlic.coder; "
+                "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')), "
+                "nlic.entropy.ndtr is nlic.tensor.ndtr]))")
+        src = os.path.dirname(os.path.dirname(nlic.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        scipy_modules, same = json.loads(out)
+        assert "scipy.special" not in scipy_modules
+        assert self.MODULE in scipy_modules
+        assert same
+
+    def test_same_ufunc_as_scipy_special(self):
+        import scipy.special
+
+        assert T.ndtr is scipy.special.ndtr
+        tail = np.array([TAIL_Z, -TAIL_Z])
+        tiny = np.finfo(np.float64).smallest_subnormal
+        z = np.concatenate([
+            tail, np.nextafter(tail, np.inf), np.nextafter(tail, -np.inf),
+            [38.5, -38.5, np.inf, -np.inf, np.nan, -0.0, 0.0],
+            [tiny, -tiny, 1000 * tiny, -1000 * tiny, np.finfo(np.float64).smallest_normal / 2],
+            np.random.default_rng(7).normal(scale=10.0, size=10**5),
+        ])
+        np.testing.assert_array_equal(T.ndtr(z).view(np.int64),
+                                      scipy.special.ndtr(z).view(np.int64))
+
+    def test_reuses_loaded_module(self, monkeypatch):
+        import scipy.special
+
+        module = sys.modules[self.MODULE]
+        monkeypatch.setattr(importlib.util, "find_spec", None)  # a lookup would raise
+        assert T._load_ndtr() is scipy.special.ndtr
+        assert sys.modules[self.MODULE] is module
+
+    @pytest.mark.parametrize("failure", ["no-scipy-spec", "no-module-spec",
+                                         "exec-import-error", "not-ndtr"])
+    def test_fallback(self, monkeypatch, failure):
+        import scipy.special
+
+        monkeypatch.delitem(sys.modules, self.MODULE)
+        if failure == "no-scipy-spec":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        elif failure == "no-module-spec":
+            monkeypatch.setattr(importlib.machinery.FileFinder, "find_spec",
+                                lambda self, name, target=None: None)
+        elif failure == "exec-import-error":
+            def exec_module(self, module):
+                raise ImportError("cannot load")
+            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module",
+                                exec_module)
+        else:
+            def module_from_spec(spec):
+                module = types.ModuleType(spec.name)
+                module.ndtr = np.exp
+                return module
+            monkeypatch.setattr(importlib.util, "module_from_spec", module_from_spec)
+        assert T._load_ndtr() is scipy.special.ndtr
+        assert self.MODULE not in sys.modules
