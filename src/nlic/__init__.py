@@ -10,7 +10,6 @@ from .errors import (
     HashMismatchError,
     IntegrityError,
     NlicError,
-    PrecisionError,
     TrainingDiverged,
     TruncationError,
     VersionError,
@@ -23,7 +22,6 @@ __all__ = [
     "HashMismatchError",
     "IntegrityError",
     "NlicError",
-    "PrecisionError",
     "TrainingDiverged",
     "TruncationError",
     "VersionError",

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractViolation, PrecisionError
+from .errors import ContractViolation
 from .tensor import ndtr
 
 CDF_PRECISION = 16
@@ -368,12 +368,12 @@ def determinize(weights, means, scales, grid: SymbolGrid):
 _TOTAL_BOUND = 1.0 + 2.0 ** -CDF_PRECISION
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _cdf_grid(n: int):
     """The scale 2^16 - n as a read-only 0-d float64 operand, and the offsets
     0..n: numpy converts a Python scalar operand again on every call, which
-    costs as much as the multiply itself on a 256-entry row. build_cdf's
-    size check bounds the cache at 2^15 keys."""
+    costs as much as the multiply itself on a 256-entry row. The cache keeps
+    the last 8 sizes, since each entry holds n + 1 offsets."""
     scale = np.array(float(CDF_TOTAL - n))
     offsets = np.arange(n + 1, dtype=np.uint32)
     scale.setflags(write=False)
@@ -405,16 +405,16 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
       tail bins of gmm_pmf_table take theirs.
 
     So the coded pmf is (1 - n/2^16) * p + 1/2^16 up to one unit per bin.
-    An empty pmf, a negative or NaN entry, and an entry or a total of at
-    least 1 + 2^-16 raise ContractViolation, before anything is scaled; more
-    than 2^15 symbols raise PrecisionError.
+    An empty pmf, more than 2^15 symbols, a negative or NaN entry, and an
+    entry or a total of at least 1 + 2^-16 raise ContractViolation, before
+    anything is scaled.
     """
     p = np.asarray(pmf, dtype=np.float64).ravel()
     n = p.size
     if n == 0:
         raise ContractViolation("pmf has no symbols")
     if n > CDF_TOTAL // 2:
-        raise PrecisionError(
+        raise ContractViolation(
             f"support size {n} exceeds {CDF_TOTAL // 2}; cannot give every symbol mass")
     low = p.item(p.argmin())  # argmin returns the first NaN
     if not low >= 0.0:

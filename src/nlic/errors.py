@@ -21,10 +21,6 @@ class DataError(NlicError):
     """Unusable input data: bad image file, undersized training image, ..."""
 
 
-class PrecisionError(NlicError):
-    """Symbol support too large for the fixed-point CDF precision."""
-
-
 class IntegrityError(NlicError):
     """A corrupt container, coded stream or weights file: bad magic, CRC
     mismatch, bytes past its declared end, ..."""

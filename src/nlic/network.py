@@ -35,9 +35,9 @@ class ModelConfig:
     The rest is fixed. The analysis transform has two stride-2 stages with
     attention between them, so latents sit `downsample_factor` = 4 below the
     pixels; the hyper path has two more, so hyper-latents sit
-    `total_downsample` = 16 below them. `Model.ctx_y` is always a 5x5
-    mask-A conv, as in the lossy base model, and the pixel kernel is
-    `mask_kernel_x`."""
+    `total_downsample` = 16 below them. The mask-A context convs have
+    kernels `mask_kernel_y` = 5 on the latents, as in the lossy base model,
+    and `mask_kernel_x` = 7 on the pixels."""
 
     filters_n: int = 32          # paper: 192
     mixtures_k: int = 3          # paper: 3
@@ -45,6 +45,7 @@ class ModelConfig:
     use_context_x: bool = True
 
     # class constants, not fields
+    mask_kernel_y = 5
     mask_kernel_x = 7
     downsample_factor = 4
     total_downsample = 16
@@ -165,13 +166,20 @@ class Upsample2x:
 
 
 class MaskedConv2d:
+    """Strictly causal (mask type A) conv at stride 1: the weight
+    [Cout,Cin,k,k] times causal_mask(k), built once. The mask zeroes the
+    center tap and every raster-later tap in both the forward and backward
+    pass, so masked weights never receive gradient and output (i,j) depends
+    only on raster-earlier inputs."""
+
     def __init__(self, store, name, cin, cout, kernel):
+        self.mask = T.causal_mask(kernel)
         self.w = store.add(f"{name}.w", (cout, cin, kernel, kernel), "fan_in",
                            cin * kernel * kernel)
         self.b = store.add(f"{name}.b", (cout,), "zero")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.masked_conv2d(x, self.w, self.b)
+        return T.conv2d(x, T.mul(self.w, self.mask), self.b)
 
 
 class ResBlock:
@@ -244,7 +252,7 @@ class Model:
         self.hs_out = Conv2d(store, "hs.out", n, 2 * n, 3)
 
         # context models + entropy parameter heads
-        self.ctx_y = MaskedConv2d(store, "ctx_y", n, n, 5)
+        self.ctx_y = MaskedConv2d(store, "ctx_y", n, n, config.mask_kernel_y)
         self.ctx_x = (MaskedConv2d(store, "ctx_x", 3, n, config.mask_kernel_x)
                       if config.use_context_x else None)
         self.head_y1 = Conv2d(store, "head_y.conv1", 3 * n, 3 * n, 1)

@@ -2,14 +2,15 @@
 
 Covers exactly the operator set the codec networks need: a handful of
 elementwise nonlinearities, a last-axis softmax, reductions, shape plumbing
-and three convolutions, each with one fixed contract: ``conv2d`` (odd square
-kernel, zero padding k//2, stride 1 or 2, output ceil(H/s) x ceil(W/s)),
-``conv2d_transposed`` (4x4 kernel, stride 2, padding 1, output 2H x 2W) and
-``masked_conv2d`` (mask-A ``conv2d`` at stride 1, its 5x5 or 7x7 kernel read
-from the weight). Only an empty input gives an empty output; each refuses
-one. A dynamic graph is recorded per forward pass; ``backward()`` on a
-scalar loss walks it once in reverse topological order and then releases it,
-so a second backward without a new forward raises.
+and two convolutions, each with one fixed contract: ``conv2d`` (odd square
+kernel, zero padding k//2, stride 1 or 2, output ceil(H/s) x ceil(W/s)) and
+``conv2d_transposed`` (4x4 kernel, stride 2, padding 1, output 2H x 2W).
+Every op is a primitive with its own VJP; the context models' mask-A conv
+is a layer over ``conv2d``, ``mul`` and ``causal_mask``. Only an empty input
+gives an empty output; each refuses one. A dynamic graph is recorded per
+forward pass; ``backward()`` on a scalar loss walks it once in reverse
+topological order and then releases it, so a second backward without a new
+forward raises.
 
 Each op hands ``_make`` one edge per input: the input and its
 vector-Jacobian product (VJP), a function from the output's gradient to
@@ -467,17 +468,3 @@ def causal_mask(kernel: int) -> np.ndarray:
     mask[half, :half] = 1.0
     return mask
 
-
-def masked_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Strictly causal (mask type A) convolution: conv2d at stride 1 with
-    the weight [Cout,Cin,k,k] multiplied by causal_mask(k).
-
-    The mask zeroes the center tap and every raster-later tap in both the
-    forward and backward pass, so masked weights never receive gradient and
-    output (i,j) depends only on raster-earlier inputs.
-    """
-    w = _as_tensor(w)
-    if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
-        raise ContractViolation(
-            f"masked_conv2d: weight must be [Cout,Cin,k,k], got shape {w.data.shape}")
-    return conv2d(x, mul(w, causal_mask(w.data.shape[3])), b)

@@ -111,6 +111,7 @@ class TestConfig:
     def test_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
             "filters_n", "mixtures_k", "use_attention", "use_context_x"]
+        assert ModelConfig.mask_kernel_y == ModelConfig().mask_kernel_y == 5
         assert ModelConfig.mask_kernel_x == ModelConfig().mask_kernel_x == 7
         assert ModelConfig.downsample_factor == ModelConfig().downsample_factor == 4
         assert ModelConfig.total_downsample == ModelConfig().total_downsample == 16
@@ -310,7 +311,7 @@ class TestEntropyParams:
             if path == "y":
                 params = model.entropy_params_y(T.Tensor(rng.normal(size=(1, 16, 6, 8))),
                                                 T.Tensor(rng.normal(size=(1, 8, 6, 8))))
-                kernel, grid = 5, E.LATENT_GRID
+                kernel, grid = model.config.mask_kernel_y, E.LATENT_GRID
             else:
                 params = model.entropy_params_x(T.Tensor(rng.normal(size=(1, 8, 6, 8))),
                                                 T.Tensor(rng.normal(size=(1, 3, 6, 8))))
@@ -467,6 +468,15 @@ class TestInit:
         assert no_ctx < base
         assert all(k.startswith(("ga.attn", "gs.attn")) for k in base - no_attn)
         assert all(k.startswith("ctx_x") for k in base - no_ctx)
+
+    def test_context_kernels_read_from_config(self, monkeypatch):
+        # both context kernels come from the class constants, swapped here
+        monkeypatch.setattr(ModelConfig, "mask_kernel_y", 7)
+        monkeypatch.setattr(ModelConfig, "mask_kernel_x", 5)
+        model = Model(ModelConfig(filters_n=8))
+        assert model.ctx_y.w.shape == (8, 8, 7, 7) and model.ctx_x.w.shape == (8, 3, 5, 5)
+        np.testing.assert_array_equal(model.ctx_y.mask, T.causal_mask(7))
+        np.testing.assert_array_equal(model.ctx_x.mask, T.causal_mask(5))
 
     def test_prior_matches_factorized_prior_init(self, small_config):
         model = Model(small_config).init_random(3)

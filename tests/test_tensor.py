@@ -19,6 +19,7 @@ import nlic
 from nlic import tensor as T
 from nlic.entropy import TAIL_Z
 from nlic.errors import ContractViolation
+from nlic.network import MaskedConv2d, _ParamStore
 
 from conftest import finite_difference, rel_err
 
@@ -130,8 +131,16 @@ def _conv2d_transposed_ref(x, w, b, stride, pad):
     return data, backward
 
 
-def _masked_conv2d_ref(x, w, b, kernel):
-    """Reference masked_conv2d as its own body: windows times the masked
+def masked_conv(x, w, b):
+    """A MaskedConv2d layer on x, its parameters replaced by the Tensors w
+    and b, so a test sets which of them require grad."""
+    layer = MaskedConv2d(_ParamStore(), "ctx", w.shape[1], w.shape[0], w.shape[3])
+    layer.w, layer.b = w, b
+    return layer(x)
+
+
+def _masked_conv_ref(x, w, b, kernel):
+    """Reference mask-A conv as its own body: windows times the masked
     weight, the weight gradient masked, the input gradient scattered by
     _conv_input_grad_ref. Returns the output and a map from output gradient
     to (gx, gw, gb)."""
@@ -159,7 +168,7 @@ def _output_and_grads(op, x, w, b, g, *args):
 
 
 class TestConvReferences:
-    """conv2d_transposed, masked_conv2d and conv2d's input gradient against
+    """conv2d_transposed, MaskedConv2d and conv2d's input gradient against
     the bodies they had before all three ran on _correlate and _scatter.
     Outputs and weight and bias gradients are bit-identical; input
     gradients sum the same products, grouped into other BLAS calls.
@@ -198,9 +207,9 @@ class TestConvReferences:
         x = rng.normal(size=(2, 3) + hw)
         w = rng.normal(size=(4, 3, kernel, kernel))
         b = rng.normal(size=4)
-        data, backward = _masked_conv2d_ref(x, w, b, kernel)
+        data, backward = _masked_conv_ref(x, w, b, kernel)
         g = rng.normal(size=data.shape)
-        out, gx, gw, gb = _output_and_grads(T.masked_conv2d, x, w, b, g)
+        out, gx, gw, gb = _output_and_grads(masked_conv, x, w, b, g)
         np.testing.assert_array_equal(out, data)
         ref_gx, ref_gw, ref_gb = backward(g)
         np.testing.assert_array_equal(gw, ref_gw)
@@ -327,6 +336,8 @@ def test_contract_violations(call, message):
 
 
 class TestMaskedConv:
+    """The mask-A layer, MaskedConv2d, with the weights each test sets."""
+
     def test_mask_shape(self):
         m5 = T.causal_mask(5)
         assert m5[2, 2] == 0.0 and m5[2, 1] == 1.0 and m5[2, 3] == 0.0
@@ -334,10 +345,15 @@ class TestMaskedConv:
         with pytest.raises(ContractViolation):
             T.causal_mask(4)
 
-    def test_non_square_weight_rejected(self, rng):
-        x = T.Tensor(rng.normal(size=(1, 2, 6, 6)))
-        with pytest.raises(ContractViolation, match="k,k"):
-            T.masked_conv2d(x, T.Tensor(np.zeros((2, 2, 5, 7))), T.Tensor(np.zeros(2)))
+    def test_mask_built_once(self, rng, monkeypatch):
+        calls = []
+        causal_mask = T.causal_mask
+        monkeypatch.setattr(T, "causal_mask", lambda k: calls.append(k) or causal_mask(k))
+        layer = MaskedConv2d(_ParamStore(), "ctx", 2, 3, 7)
+        for _ in range(2):
+            layer(T.Tensor(rng.normal(size=(1, 2, 6, 6))))
+        assert calls == [7]
+        np.testing.assert_array_equal(layer.mask, causal_mask(7))
 
     def test_strict_causality_bias_only(self, rng):
         # only position (i,j) and raster-later positions are nonzero
@@ -347,7 +363,7 @@ class TestMaskedConv:
         x[:, :, raster >= raster[i, j]] = rng.normal(size=(1, 2, (raster >= raster[i, j]).sum()))
         w = rng.normal(size=(3, 2, 5, 5))
         b = rng.normal(size=3)
-        out = T.masked_conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+        out = masked_conv(T.Tensor(x), T.Tensor(w), T.Tensor(b))
         np.testing.assert_array_equal(out.data[0, :, i, j], b)
 
     @pytest.mark.parametrize("kernel", [5, 7])
@@ -357,12 +373,12 @@ class TestMaskedConv:
         x = rng.normal(size=(1, 4, 6, 6))
         w = rng.normal(size=(2, 4, kernel, kernel))
         b = rng.normal(size=2)
-        base = T.masked_conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
+        base = masked_conv(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
         for p in range(36):
             i, j = divmod(p, 6)
             xp = x.copy()
             xp[0, rng.integers(0, 4), i, j] += rng.normal()
-            out = T.masked_conv2d(T.Tensor(xp), T.Tensor(w), T.Tensor(b)).data
+            out = masked_conv(T.Tensor(xp), T.Tensor(w), T.Tensor(b)).data
             flat_base = base.reshape(1, 2, -1)
             flat_out = out.reshape(1, 2, -1)
             assert np.array_equal(flat_base[:, :, :p], flat_out[:, :, :p])
@@ -371,7 +387,7 @@ class TestMaskedConv:
         x = rng.normal(size=(1, 2, 6, 6))
         w = T.Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
         b = T.Tensor(rng.normal(size=2), requires_grad=True)
-        loss = T.reduce_sum(T.square(T.masked_conv2d(T.Tensor(x), w, b)))
+        loss = T.reduce_sum(T.square(masked_conv(T.Tensor(x), w, b)))
         loss.backward()
         mask = T.causal_mask(5)
         assert np.array_equal(w.grad * (1 - mask), np.zeros_like(w.grad))
@@ -384,7 +400,7 @@ class TestMaskedConv:
         b = rng.normal(size=2)
 
         def fn(xt, wt, bt):
-            return T.reduce_sum(T.square(T.masked_conv2d(xt, wt, bt)))
+            return T.reduce_sum(T.square(masked_conv(xt, wt, bt)))
 
         check_grads(fn, [x, w, b], kink_guard)
 
@@ -573,8 +589,7 @@ MIXED_OPS = {
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, 2),
                [(2, 3, 7, 7), (4, 3, 3, 3), (4,)], ()),
     "conv2d_transposed": (T.conv2d_transposed, [(2, 3, 4, 4), (3, 4, 4, 4), (4,)], ()),
-    "masked_conv2d": (T.masked_conv2d,
-                      [(2, 3, 6, 6), (4, 3, 5, 5), (4,)], ()),
+    "MaskedConv2d": (masked_conv, [(2, 3, 6, 6), (4, 3, 5, 5), (4,)], ()),
 }
 
 
