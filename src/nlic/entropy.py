@@ -119,10 +119,20 @@ def _mixture(weights, means, scales):
 def _edge_tables(grid: SymbolGrid):
     """Read-only bin edges of grid and the step rows that fill a windowed
     table outside its windows: row k is 0.0 before edge k and 1.0 from it
-    on."""
+    on, for k = 0 ... n with n = edges.size.
+
+    The n + 1 rows are windows of one ramp of n zeros then n ones: row k
+    is ramp[n - k : 2n - k], so they cost 2n floats, not (n + 1)·n.
+    Indexing them with an integer array copies the rows into a fresh
+    C-contiguous array, which callers may write to. The rows themselves
+    overlap in memory, so a write through one would change every row that
+    shares the ramp; sliding_window_view makes them read-only.
+    """
     edges = grid.edges()
-    steps = np.triu(np.ones((edges.size + 1, edges.size)))
-    edges.flags.writeable = steps.flags.writeable = False
+    n = edges.size
+    ramp = np.repeat([0.0, 1.0], n)
+    steps = np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1]
+    edges.flags.writeable = False
     return edges, steps
 
 

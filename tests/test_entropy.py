@@ -276,15 +276,19 @@ class TestGmmPmfTableOracle:
 
 
 class TestTableBuffers:
-    """gmm_pmf_table holds one table-sized buffer per call, and _bin_masses
-    takes the differences in that buffer."""
+    """gmm_pmf_table holds one table-sized buffer per call and no grid-sized
+    state, and _bin_masses takes the differences in that buffer."""
 
-    @pytest.mark.parametrize("gathered", [False, True], ids=["dense", "gathered"])
-    def test_one_table_buffer_per_call(self, gathered, ndtr_shapes, rng):
+    @pytest.mark.parametrize(
+        ("gathered", "cold"), [(False, False), (True, False), (False, True), (True, True)],
+        ids=["dense", "gathered", "dense-cold", "gathered-cold"])
+    def test_one_table_buffer_per_call(self, gathered, cold, ndtr_shapes, rng):
         grid = E.LATENT_GRID
         w, mu, sd = random_gmm_params(rng, (6, 32), 3, grid)  # a latent wavefront batch
         sd[:] = E.SCALE_FLOOR if gathered else grid.span
         E.gmm_pmf_table(w, mu, sd, grid)  # fills the edge-table cache
+        if cold:  # the measured call builds the edge tables too
+            E._edge_tables.cache_clear()
         ndtr_shapes.clear()
         tracemalloc.start()
         try:
@@ -296,6 +300,23 @@ class TestTableBuffers:
         assert (len(shape) == 1) == gathered
         table = mu.size * (grid.n_symbols + 1) * 8  # one [6, 32, 3, 256] float64 table
         assert peak <= pmf.nbytes + 1.25 * table
+
+    @GRIDS
+    def test_step_rows_share_one_ramp(self, grid):
+        # the step rows are the upper-triangular ones matrix, read-only and
+        # laid over at most 2n floats: O(n) memory per grid, not O(n^2)
+        edges, steps = E._edge_tables(grid)
+        n = edges.size
+        np.testing.assert_array_equal(steps, np.triu(np.ones((n + 1, n))))
+        assert steps.dtype == np.float64
+        assert not steps.flags.writeable
+        # byte extent from the first to the last element, over all strides
+        # (np.lib.array_utils.byte_bounds needs numpy 2)
+        start = steps.__array_interface__["data"][0]
+        reach = [(size - 1) * stride for size, stride in zip(steps.shape, steps.strides)]
+        low = start + sum(r for r in reach if r < 0)
+        high = start + sum(r for r in reach if r > 0) + steps.itemsize
+        assert high - low <= 2 * n * steps.itemsize
 
     @pytest.mark.parametrize("shape", [(9,), (4, 9), (2, 3, 256)])
     def test_bin_masses_match_diff(self, shape, rng):
