@@ -287,14 +287,9 @@ def noisy_quantize(values, rng: np.random.Generator):
     return arr + u
 
 
-@dataclass
-class QuantizeResult:
-    symbols: np.ndarray  # int32
-    clamp_count: int
-
-
-def round_quantize(values, grid: SymbolGrid) -> QuantizeResult:
-    """Round half away from zero, then clamp into the grid (counted).
+def round_quantize(values, grid: SymbolGrid) -> tuple[np.ndarray, int]:
+    """Round half away from zero, then clamp into the grid. Returns the int32
+    symbols and the count of values the clamp moved.
 
     Infinities clamp to the grid ends; NaN raises ContractViolation.
     """
@@ -305,8 +300,7 @@ def round_quantize(values, grid: SymbolGrid) -> QuantizeResult:
     frac, whole = np.modf(arr)  # exact, where |x| + 0.5 rounds 0.5 - 2^-54 up
     rounded = whole + np.sign(frac) * (np.abs(frac) >= 0.5)
     clamped = np.clip(rounded, grid.lo, grid.hi)
-    clamp_count = int(np.count_nonzero(rounded != clamped))
-    return QuantizeResult(symbols=clamped.astype(np.int32), clamp_count=clamp_count)
+    return clamped.astype(np.int32), int(np.count_nonzero(rounded != clamped))
 
 
 # ---------------------------------------------------------------------------

@@ -99,22 +99,6 @@ def config_hash(config: ModelConfig) -> bytes:
     return hashlib.sha256(canonical_config_text(config).encode()).digest()
 
 
-@dataclass
-class GmmParams:
-    """Per-symbol mixture parameters, each shaped [B, h, w, C, K] and
-    C-contiguous, so the [L, C, K] rows at a batch of locations are the
-    input `entropy.determinize` and `entropy.gmm_pmf_table` take.
-
-    weights are post-softmax (sum to one over K); scales carry the floor.
-    Payloads are always Tensors; coding computes them under `no_grad` and
-    reads their `.data`.
-    """
-
-    weights: Tensor
-    means: Tensor
-    scales: Tensor
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
@@ -338,18 +322,28 @@ class Model:
 
     # -- entropy parameter heads ---------------------------------------------
 
-    def entropy_params_y(self, hyper_features: Tensor, y_ctx_input: Tensor) -> GmmParams:
+    def entropy_params_y(self, hyper_features: Tensor,
+                         y_ctx_input: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         return self._entropy_params(hyper_features, y_ctx_input, self.ctx_y,
                                     self.head_y1, self.head_y2)
 
-    def entropy_params_x(self, pixel_features: Tensor, x_ctx_input: Tensor) -> GmmParams:
+    def entropy_params_x(self, pixel_features: Tensor,
+                         x_ctx_input: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         return self._entropy_params(pixel_features, x_ctx_input, self.ctx_x,
                                     self.head_x1, self.head_x2)
 
-    def _entropy_params(self, features, ctx_input, ctx_conv, head1, head2) -> GmmParams:
+    def _entropy_params(self, features, ctx_input, ctx_conv, head1,
+                        head2) -> tuple[Tensor, Tensor, Tensor]:
         """Context features joined to the transform features, then the two
         1x1 head convs, split into the per-channel mixture parameters. With no
-        context model, zeros keep head_x.conv1's shape and init unchanged."""
+        context model, zeros keep head_x.conv1's shape and init unchanged.
+
+        Returns the Tensors (weights, means, scales), each [B, h, w, C, K]
+        and C-contiguous, so the [L, C, K] rows at a batch of locations are
+        the arguments `entropy.determinize` and `entropy.gmm_pmf_table` take.
+        weights are post-softmax (sum to one over K); scales carry the
+        floor. Coding computes them under `no_grad` and reads their `.data`.
+        """
         if ctx_conv is None:
             ctx = Tensor(np.zeros((features.shape[0], self.config.filters_n)
                                   + tuple(features.shape[2:])))
@@ -365,8 +359,7 @@ class Model:
         p = T.transpose(T.reshape(raw, (b, 3, -1, self.config.mixtures_k, h, w)),
                         (1, 0, 4, 5, 2, 3))
         logits, means, raw_scales = (T.select(p, i) for i in range(3))
-        return GmmParams(T.softmax(logits), means,
-                         T.add(T.softplus(raw_scales), SCALE_FLOOR))
+        return T.softmax(logits), means, T.add(T.softplus(raw_scales), SCALE_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,21 @@ class TestMixtureContract:
             E.gmm_pmf_table(np.ones(w_shape), np.zeros(mu_shape), np.ones(sd_shape),
                             E.LATENT_GRID)
 
+    @GRIDS
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0, 3)], ids=["no-locations", "no-channels"])
+    def test_empty_batch(self, grid, shape):
+        # a batch with nothing to code is not a fault: empty arrays of the
+        # batch's shape come back, with no warning, where a check written as
+        # a bare min() or max() reduction would raise ValueError
+        w, mu, sd = np.full(shape, 1 / 3), np.zeros(shape), np.ones(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = E.determinize(w, mu, sd, grid)
+            tables = [E.gmm_pmf_table(w, mu, sd, grid), E.gmm_pmf_table(*batch, grid)]
+        assert [a.shape for a in batch] == [shape] * 3
+        for table in tables:
+            assert table.shape == shape[:-1] + (grid.n_symbols,) and table.dtype == np.float64
+
 
 def _prior_ref(prior, v):
     """Reference FactorizedPrior.cdf: the plain-numpy body it had before
@@ -544,32 +559,33 @@ class TestQuantizers:
         # 0.49999999999999994 is the largest double below 0.5: adding 0.5 to
         # it rounds the sum up to 1.0
         below_half = np.nextafter(0.5, 0.0)
-        res = E.round_quantize(np.array([0.5, -0.5, 0.49, -0.49, 1.5, -2.5,
-                                         below_half, -below_half]), E.LATENT_GRID)
-        np.testing.assert_array_equal(res.symbols, [1, -1, 0, 0, 2, -3, 0, 0])
-        assert res.clamp_count == 0
+        symbols, clamp_count = E.round_quantize(np.array([0.5, -0.5, 0.49, -0.49, 1.5, -2.5,
+                                                          below_half, -below_half]), E.LATENT_GRID)
+        np.testing.assert_array_equal(symbols, [1, -1, 0, 0, 2, -3, 0, 0])
+        assert clamp_count == 0
 
     def test_idempotent_on_integers(self, rng):
         vals = rng.integers(-127, 128, size=1000).astype(np.float64)
-        res = E.round_quantize(vals, E.LATENT_GRID)
-        np.testing.assert_array_equal(res.symbols, vals.astype(np.int32))
+        symbols, _ = E.round_quantize(vals, E.LATENT_GRID)
+        assert symbols.dtype == np.int32
+        np.testing.assert_array_equal(symbols, vals.astype(np.int32))
 
     def test_clamp_counter_matches_bruteforce(self, rng):
         vals = rng.normal(scale=100, size=5000)
-        res = E.round_quantize(vals, E.LATENT_GRID)
+        symbols, clamp_count = E.round_quantize(vals, E.LATENT_GRID)
         rounded = np.copysign(np.floor(np.abs(vals) + 0.5), vals)
         expected = int(((rounded < -127) | (rounded > 127)).sum())
-        assert res.clamp_count == expected
-        assert res.symbols.min() >= -127 and res.symbols.max() <= 127
+        assert clamp_count == expected
+        assert symbols.min() >= -127 and symbols.max() <= 127
 
     def test_nan_rejected(self):
         with pytest.raises(ContractViolation, match="2 NaN"):
             E.round_quantize(np.array([np.nan, 3.2, np.nan]), E.PIXEL_GRID)
 
     def test_infinities_clamp_to_grid_ends(self):
-        res = E.round_quantize(np.array([-np.inf, 3.2, np.inf]), E.PIXEL_GRID)
-        np.testing.assert_array_equal(res.symbols, [0, 3, 255])
-        assert res.clamp_count == 2
+        symbols, clamp_count = E.round_quantize(np.array([-np.inf, 3.2, np.inf]), E.PIXEL_GRID)
+        np.testing.assert_array_equal(symbols, [0, 3, 255])
+        assert clamp_count == 2
 
 
 class TestDeterminize:
@@ -673,6 +689,26 @@ class TestDeterminizeReference:
         got = E.determinize(w, mu, sd, grid)
         for a, b in zip(got, _determinize_ref(w, mu, sd, grid), strict=True):
             np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @GRIDS
+    def test_non_finite_and_non_positive_scales(self, grid):
+        # scales a diverged head could emit: NaN stays NaN, so gmm_pmf_table
+        # refuses the batch and names the scales instead of coding it; +inf
+        # and 1e308 go to the ladder's top rung, the grid span, and the rest
+        # to its bottom rung, SCALE_FLOOR
+        sd = np.array([[math.nan], [math.inf], [-math.inf], [0.0], [-1.0], [5e-324], [1e308]])
+        w, mu = np.ones_like(sd), np.zeros_like(sd)
+        self.assert_same(w, mu, sd, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = E.determinize(w, mu, sd, grid)
+        top, bottom = grid.span, E.SCALE_FLOOR
+        np.testing.assert_array_equal(batch[2][:, 0], [math.nan, top, bottom, bottom, bottom,
+                                                       bottom, top])
+        with pytest.raises(ContractViolation, match="scales"):
+            E.gmm_pmf_table(*batch, grid)
+        assert E.gmm_pmf_table(*(a[1:] for a in batch), grid).shape == (6, grid.n_symbols)
 
     @GRIDS
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -765,7 +801,7 @@ class TestBuildCdf:
             assert (np.diff(cdf.astype(np.int64)) >= 1).all()
             assert cdf[0] == 0 and cdf[-1] == E.CDF_TOTAL
 
-    def test_near_delta_pmf_repaired(self):
+    def test_near_delta_pmf_keeps_one_unit_per_bin(self):
         pmf = np.full(256, 1e-300)
         pmf[17] = 1.0
         cdf = E.build_cdf(pmf / pmf.sum())

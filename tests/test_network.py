@@ -24,7 +24,6 @@ from nlic.errors import (
 )
 from nlic.network import (
     AttentionBlock,
-    GmmParams,
     Model,
     ModelConfig,
     _ParamStore,
@@ -40,10 +39,10 @@ from conftest import finite_difference, rel_err
 
 
 def assert_no_grad_matches_recording(run):
-    """run() gives a Tensor or GmmParams. With recording on, every output
-    must carry a graph; under no_grad the same data with none."""
+    """run() gives a Tensor or a tuple of them. With recording on, every
+    output must carry a graph; under no_grad the same data with none."""
     def outputs(result):
-        return list(vars(result).values()) if isinstance(result, GmmParams) else [result]
+        return list(result) if isinstance(result, tuple) else [result]
 
     recorded = outputs(run())
     with T.no_grad():
@@ -57,11 +56,11 @@ def assert_no_grad_matches_recording(run):
 def mixture_log_mass(params, v):
     """Sum over v [B, C, h, w] of the log of the mixture's mass on
     [v - 1/2, v + 1/2]: the rate term of a training loss, negated."""
+    weights, means, scales = params
     b, c, h, w = v.shape
     v = T.reshape(T.transpose(v, (0, 2, 3, 1)), (b, h, w, c, 1))
-    lo, hi = (T.normal_cdf(T.div(T.sub(T.add(v, d), params.means), params.scales))
-              for d in (-0.5, 0.5))
-    return T.reduce_sum(T.log(T.reduce_sum(T.mul(params.weights, T.sub(hi, lo)), axis=-1)))
+    lo, hi = (T.normal_cdf(T.div(T.sub(T.add(v, d), means), scales)) for d in (-0.5, 0.5))
+    return T.reduce_sum(T.log(T.reduce_sum(T.mul(weights, T.sub(hi, lo)), axis=-1)))
 
 
 @pytest.fixture
@@ -246,17 +245,17 @@ class TestEntropyParams:
     def test_weights_sum_to_one(self, model, rng):
         hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
         y_ctx = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
-        params = model.entropy_params_y(hf, y_ctx)
-        assert params.weights.shape == (1, 4, 4, 8, 2)
-        np.testing.assert_allclose(params.weights.data.sum(axis=-1), 1.0, atol=1e-9)
-        assert (params.scales.data >= SCALE_FLOOR).all()
+        weights, _, scales = model.entropy_params_y(hf, y_ctx)
+        assert weights.shape == (1, 4, 4, 8, 2)
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
+        assert (scales.data >= SCALE_FLOOR).all()
 
     def test_pixel_params_shapes(self, model, rng):
         pf = T.Tensor(rng.normal(size=(1, 8, 16, 16)))
         x_ctx = T.Tensor(rng.normal(size=(1, 3, 16, 16)))
-        params = model.entropy_params_x(pf, x_ctx)
-        assert params.weights.shape == (1, 16, 16, 3, 2)
-        np.testing.assert_allclose(params.weights.data.sum(axis=-1), 1.0, atol=1e-9)
+        weights, _, _ = model.entropy_params_x(pf, x_ctx)
+        assert weights.shape == (1, 16, 16, 3, 2)
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_spatial_mismatch_rejected(self, model, rng):
         hf = T.Tensor(rng.normal(size=(1, 16, 4, 4)))
@@ -269,9 +268,8 @@ class TestEntropyParams:
         pf = T.Tensor(rng.normal(size=(1, 8, 4, 4)))
         a = m.entropy_params_x(pf, T.Tensor(rng.normal(size=(1, 3, 4, 4))))
         b = m.entropy_params_x(pf, T.Tensor(rng.normal(size=(1, 3, 4, 4))))
-        for field in ("weights", "means", "scales"):
-            np.testing.assert_array_equal(getattr(a, field).data,
-                                          getattr(b, field).data)
+        for a_field, b_field in zip(a, b, strict=True):
+            np.testing.assert_array_equal(a_field.data, b_field.data)
 
     @pytest.mark.parametrize("path", ["y", "x"])
     def test_exhaustive_raster_causality(self, model, rng, path):
@@ -294,9 +292,9 @@ class TestEntropyParams:
                 ctx = ctx0.copy()
                 ctx[0, rng.integers(channels), i, j] += 1.0 + rng.random()
                 out = run(ctx)
-                for field in ("weights", "means", "scales"):
-                    a = getattr(base, field).data.reshape(1, 36, -1)
-                    b = getattr(out, field).data.reshape(1, 36, -1)
+                for base_field, out_field in zip(base, out, strict=True):
+                    a = base_field.data.reshape(1, 36, -1)
+                    b = out_field.data.reshape(1, 36, -1)
                     assert np.array_equal(a[:, :p], b[:, :p]), f"leak at {p}"
 
     @pytest.mark.parametrize("path", ["y", "x"])
@@ -316,7 +314,7 @@ class TestEntropyParams:
                 params = model.entropy_params_x(T.Tensor(rng.normal(size=(1, 8, 6, 8))),
                                                 T.Tensor(rng.normal(size=(1, 3, 6, 8))))
                 kernel, grid = model.config.mask_kernel_x, E.PIXEL_GRID
-        fields = [params.weights.data, params.means.data, params.scales.data]
+        fields = [t.data for t in params]
         assert all(f.flags.c_contiguous for f in fields)
         i, j = np.indices((6, 8))
         steps = j + (kernel // 2 + 1) * i
@@ -352,7 +350,7 @@ class TestEntropyParams:
                                         T.Tensor(rng.normal(size=(1, 8, 4, 6)))),
                      m.entropy_params_x(T.Tensor(rng.normal(size=(1, 8, 8, 6))),
                                         T.Tensor(rng.normal(size=(1, 3, 8, 6)))))
-        digests = tuple(hashlib.sha256(b"".join(t.data.tobytes() for t in vars(p).values()))
+        digests = tuple(hashlib.sha256(b"".join(t.data.tobytes() for t in p))
                         .hexdigest() for p in heads)
         assert digests == self.HEAD_DIGESTS[use_context_x]
 
@@ -452,13 +450,13 @@ class TestInit:
         x = T.Tensor(np.zeros((1, 3, 16, 16)))
         y = model.analysis(x)
         hf = model.hyper_synthesis(model.hyper_analysis(y))
-        params = model.entropy_params_y(hf, y)
-        np.testing.assert_allclose(params.weights.data, 0.5, atol=0.02)
-        np.testing.assert_allclose(params.scales.data, 1.0, atol=0.05)
+        weights, _, scales = model.entropy_params_y(hf, y)
+        np.testing.assert_allclose(weights.data, 0.5, atol=0.02)
+        np.testing.assert_allclose(scales.data, 1.0, atol=0.05)
         pf = model.synthesis(y)
-        px = model.entropy_params_x(pf, x)
-        np.testing.assert_allclose(px.weights.data, 0.5, atol=0.02)
-        np.testing.assert_allclose(px.scales.data, 1.0, atol=0.05)
+        weights, _, scales = model.entropy_params_x(pf, x)
+        np.testing.assert_allclose(weights.data, 0.5, atol=0.02)
+        np.testing.assert_allclose(scales.data, 1.0, atol=0.05)
 
     def test_ablation_key_sets_shrink(self):
         base = set(Model(ModelConfig(filters_n=8)).init_random(0).params)
