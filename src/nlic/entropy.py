@@ -234,9 +234,8 @@ class FactorizedPrior:
 
     The layer parameters, each of shape [C], may be arrays or Tensors;
     `Model.prior` holds the model's own `prior.{h,b,a}{i}` Tensors, so
-    gradients of `cdf` reach them. `cdf` is channel-last, so a rate term
-    over a hyper-latent laid out [B, C, h, w] transposes it once to
-    [B, h, w, C].
+    gradients of `cdf` reach them. `cdf` is channel-last, as the
+    network's activations are.
     """
 
     N_LAYERS = 3

@@ -1,6 +1,8 @@
 """The codec network: analysis/synthesis transforms, hyper transforms,
 simplified attention, the two causal context models, and the parameter
 heads that emit Gaussian-mixture parameters for latents and pixels.
+Activations are channel-last, [B, H, W, C], from the image to the heads'
+[B, h, w, C, K] mixture parameters; conv weights are [Cout, Cin, k, k].
 
 Every layer has one forward path, built from Tensor ops. Training runs it
 with graph recording on; coding runs it inside `tensor.no_grad()`, which
@@ -291,7 +293,7 @@ class Model:
     # -- transforms ----------------------------------------------------------
 
     def analysis(self, x: Tensor) -> Tensor:
-        (h, w), d = x.shape[2:], ModelConfig.total_downsample
+        (h, w), d = x.shape[1:3], ModelConfig.total_downsample
         if h % d or w % d:
             raise ContractViolation(
                 f"spatial dims {h}x{w} not divisible by {d}; pad beforehand")
@@ -345,19 +347,17 @@ class Model:
         floor. Coding computes them under `no_grad` and reads their `.data`.
         """
         if ctx_conv is None:
-            ctx = Tensor(np.zeros((features.shape[0], self.config.filters_n)
-                                  + tuple(features.shape[2:])))
-        elif ctx_input.shape[2:] != features.shape[2:]:
+            ctx = Tensor(np.zeros(features.shape[:3] + (self.config.filters_n,)))
+        elif ctx_input.shape[1:3] != features.shape[1:3]:
             raise ContractViolation(
                 f"context/feature spatial mismatch: {ctx_input.shape} vs {features.shape}")
         else:
             ctx = ctx_conv(ctx_input)
-        raw = head2(T.leaky_relu(head1(T.concat([features, ctx], axis=1))))
-        b, _, h, w = raw.shape
-        # head channels run over (weights, means, scales), then C, then K:
-        # one transpose puts the three in front and C, K last
-        p = T.transpose(T.reshape(raw, (b, 3, -1, self.config.mixtures_k, h, w)),
-                        (1, 0, 4, 5, 2, 3))
+        raw = head2(T.leaky_relu(head1(T.concat([features, ctx], axis=-1))))
+        b, h, w, _ = raw.shape
+        # head channels run over (weights, means, scales), C, K; the three go in front
+        p = T.transpose(T.reshape(raw, (b, h, w, 3, -1, self.config.mixtures_k)),
+                        (3, 0, 1, 2, 4, 5))
         logits, means, raw_scales = (T.select(p, i) for i in range(3))
         return T.softmax(logits), means, T.add(T.softplus(raw_scales), SCALE_FLOOR)
 

@@ -5,6 +5,8 @@ elementwise nonlinearities, a last-axis softmax, reductions, shape plumbing
 and two convolutions, each with one fixed contract: ``conv2d`` (odd square
 kernel, zero padding k//2, stride 1 or 2, output ceil(H/s) x ceil(W/s)) and
 ``conv2d_transposed`` (4x4 kernel, stride 2, padding 1, output 2H x 2W).
+Activations are channel-last, [B, H, W, C]; conv weights are
+[Cout, Cin, k, k] ([Cin, Cout, 4, 4] for the transposed conv).
 Every op is a primitive with its own VJP; the context models' mask-A conv
 is a layer over ``conv2d``, ``mul`` and ``causal_mask``. Only an empty input
 gives an empty output; each refuses one. A dynamic graph is recorded per
@@ -368,38 +370,36 @@ def softmax(t: Tensor) -> Tensor:
 
 
 def _windows(x: np.ndarray, kernel, stride: int, pad: int) -> np.ndarray:
-    """[B,C,OH,OW,kh,kw] window view of [B,C,H,W] zero-padded by pad."""
+    """[B,OH,OW,C,kh,kw] window view of [B,H,W,C] zero-padded by pad."""
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    return sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride, ::stride]
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    return sliding_window_view(x, kernel, axis=(1, 2))[:, ::stride, ::stride]
 
 
 def _correlate(win: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contiguous [B,Co,OH,OW] products of windows [B,C,OH,OW,kh,kw] with
+    """Contiguous [B,OH,OW,Co] products of windows [B,OH,OW,C,kh,kw] with
     w [Co,C,kh,kw]."""
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # [B,OH,OW,Co]
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return np.tensordot(win, w, axes=([3, 4, 5], [1, 2, 3]))
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, pad: int, out_hw) -> np.ndarray:
-    """Adjoint of _correlate: every location of g [B,Co,H,W] adds its value
+    """Adjoint of _correlate: every location of g [B,H,W,Co] adds its value
     times w [Co,C,kh,kw] into the kh x kw patch it was correlated from, on a
-    canvas padded by pad; returns the [B,C,*out_hw] interior of the canvas."""
-    bsz, _, h, w_in = g.shape
+    canvas padded by pad; returns the [B,*out_hw,C] interior of the canvas."""
+    bsz, h, w_in, _ = g.shape
     kh, kw = w.shape[2:]
     oh, ow = out_hw
-    full = np.zeros((bsz, w.shape[1], oh + 2 * pad, ow + 2 * pad))
-    tmp = np.tensordot(g, w, axes=([1], [0]))  # [B,H,W,C,kh,kw]
+    full = np.zeros((bsz, oh + 2 * pad, ow + 2 * pad, w.shape[1]))
+    tmp = np.tensordot(g, w, axes=([3], [0]))  # [B,H,W,C,kh,kw]
     for u in range(kh):
         for v in range(kw):
-            full[:, :, u:u + stride * (h - 1) + 1:stride,
-                 v:v + stride * (w_in - 1) + 1:stride] += \
-                tmp[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    return full[:, :, pad:pad + oh, pad:pad + ow]
+            full[:, u:u + stride * (h - 1) + 1:stride,
+                 v:v + stride * (w_in - 1) + 1:stride] += tmp[..., u, v]
+    return full[:, pad:pad + oh, pad:pad + ow]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,k,k] plus bias.
+    """Cross-correlation of [B,H,W,Cin] with [Cout,Cin,k,k] plus bias.
 
     k must be odd; the input is zero-padded by k//2, so the output is
     ceil(H/stride) x ceil(W/stride), and H, W must be >= 1.
@@ -412,12 +412,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     co, ci, kh, kw = w.data.shape
     if kh != kw or kh % 2 == 0:
         raise ContractViolation(f"conv2d: kernel must be square with odd size, got {kh}x{kw}")
-    if x.data.shape[1] != ci:
+    if x.data.shape[3] != ci:
         raise ContractViolation(
-            f"conv2d: input channels {x.data.shape[1]} != weight Cin {ci}")
+            f"conv2d: input channels {x.data.shape[3]} != weight Cin {ci}")
     if b.data.shape != (co,):
         raise ContractViolation(f"conv2d: bias shape {b.data.shape} != ({co},)")
-    h, w_in = x.data.shape[2], x.data.shape[3]
+    h, w_in = x.data.shape[1:3]
     if h < 1 or w_in < 1:
         raise ContractViolation(f"conv2d: empty input {h}x{w_in}")
 
@@ -425,9 +425,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     # the input gradient is allocated; input first took about twice the page
     # faults per training step
     win = _windows(x.data, (kh, kw), stride, kh // 2)
-    return _make(_correlate(win, w.data) + b.data[None, :, None, None],
-                 (b, lambda g: g.sum(axis=(0, 2, 3))),
-                 (w, lambda g: np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))),
+    return _make(_correlate(win, w.data) + b.data,
+                 (b, lambda g: g.sum(axis=(0, 1, 2))),
+                 (w, lambda g: np.tensordot(g, win, axes=([0, 1, 2], [0, 1, 2]))),
                  (x, lambda g: _scatter(g, w.data, stride, kh // 2, (h, w_in))))
 
 
@@ -440,21 +440,21 @@ def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ci, co, kh, kw = w.data.shape
     if (kh, kw) != (4, 4):
         raise ContractViolation(f"conv2d_transposed: kernel must be 4x4, got {kh}x{kw}")
-    if x.data.shape[1] != ci:
+    if x.data.shape[3] != ci:
         raise ContractViolation(
-            f"conv2d_transposed: input channels {x.data.shape[1]} != weight Cin {ci}")
+            f"conv2d_transposed: input channels {x.data.shape[3]} != weight Cin {ci}")
     if b.data.shape != (co,):
         raise ContractViolation(f"conv2d_transposed: bias shape {b.data.shape} != ({co},)")
-    h, w_in = x.data.shape[2], x.data.shape[3]
+    h, w_in = x.data.shape[1:3]
     if h < 1 or w_in < 1:
         raise ContractViolation(f"conv2d_transposed: empty input {h}x{w_in}")
 
-    def g_windows(g):  # [B,Co,H,W,4,4]
+    def g_windows(g):  # [B,H,W,Co,4,4]
         return _windows(g, (4, 4), 2, 1)
 
-    data = _scatter(x.data, w.data, 2, 1, (2 * h, 2 * w_in)) + b.data[None, :, None, None]
-    return _make(data, (b, lambda g: g.sum(axis=(0, 2, 3))),
-                 (w, lambda g: np.tensordot(x.data, g_windows(g), axes=([0, 2, 3], [0, 2, 3]))),
+    data = _scatter(x.data, w.data, 2, 1, (2 * h, 2 * w_in)) + b.data
+    return _make(data, (b, lambda g: g.sum(axis=(0, 1, 2))),
+                 (w, lambda g: np.tensordot(x.data, g_windows(g), axes=([0, 1, 2], [0, 1, 2]))),
                  (x, lambda g: _correlate(g_windows(g), w.data)))
 
 

@@ -25,6 +25,16 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def channel_last(a):
+    """[B, C, H, W] as the contiguous [B, H, W, C] the network ops take."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
+def channel_first(a):
+    """[B, H, W, C] as [B, C, H, W], for the oracles written in that layout."""
+    return np.moveaxis(a, -1, 1)
+
+
 class KinkGuard:
     """Records on which side of its kink each non-smooth op's input lies.
 

@@ -21,7 +21,7 @@ from nlic.entropy import TAIL_Z
 from nlic.errors import ContractViolation
 from nlic.network import MaskedConv2d, _ParamStore
 
-from conftest import finite_difference, rel_err
+from conftest import channel_first, channel_last, finite_difference, rel_err
 
 GRAD_TOL = 1e-4
 
@@ -83,27 +83,27 @@ def check_grads(fn, arrays, guard, tol=GRAD_TOL, h=1e-5):
 
 
 def _windows_ref(xp, kh, kw, stride):
-    # [B,C,Hp,Wp] -> [B,C,OH,OW,kh,kw]
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    # [B,Hp,Wp,C] -> [B,OH,OW,C,kh,kw]
+    return sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
 
 
 def _pad_ref(x, pad):
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
 
 
 def _conv_input_grad_ref(g, w, x_padded_shape, stride, pad):
     """Reference conv2d input gradient: one tensordot per kernel tap, each
     scattered into the padded input, which is then cropped."""
-    _, _, oh, ow = g.shape
+    _, oh, ow, _ = g.shape
     _, _, kh, kw = w.shape
     gp = np.zeros(x_padded_shape)
     for u in range(kh):
         for v in range(kw):
-            tmp = np.tensordot(g, w[:, :, u, v], axes=([1], [0]))  # [B,OH,OW,Ci]
-            gp[:, :, u:u + stride * (oh - 1) + 1:stride,
-               v:v + stride * (ow - 1) + 1:stride] += tmp.transpose(0, 3, 1, 2)
+            tmp = np.tensordot(g, w[:, :, u, v], axes=([3], [0]))  # [B,OH,OW,Ci]
+            gp[:, u:u + stride * (oh - 1) + 1:stride,
+               v:v + stride * (ow - 1) + 1:stride] += tmp
     if pad:
-        return gp[:, :, pad:gp.shape[2] - pad, pad:gp.shape[3] - pad]
+        return gp[:, pad:gp.shape[1] - pad, pad:gp.shape[2] - pad]
     return gp
 
 
@@ -111,22 +111,22 @@ def _conv2d_transposed_ref(x, w, b, stride, pad):
     """Reference conv2d_transposed as its own body: one tensordot scattered
     tap by tap, and a backward over windows of the padded output gradient.
     Returns the output and a map from output gradient to (gx, gw, gb)."""
-    bsz, _, h, wd = x.shape
+    bsz, h, wd, _ = x.shape
     _, co, kh, kw = w.shape
     oh = (h - 1) * stride - 2 * pad + kh
     ow = (wd - 1) * stride - 2 * pad + kw
-    full = np.zeros((bsz, co, (h - 1) * stride + kh, (wd - 1) * stride + kw))
-    tmp = np.tensordot(x, w, axes=([1], [0]))  # [B,H,W,Co,kh,kw]
+    full = np.zeros((bsz, (h - 1) * stride + kh, (wd - 1) * stride + kw, co))
+    tmp = np.tensordot(x, w, axes=([3], [0]))  # [B,H,W,Co,kh,kw]
     for u in range(kh):
         for v in range(kw):
-            full[:, :, u:u + stride * (h - 1) + 1:stride,
-                 v:v + stride * (wd - 1) + 1:stride] += tmp[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    data = np.ascontiguousarray(full[:, :, pad:pad + oh, pad:pad + ow] + b[None, :, None, None])
+            full[:, u:u + stride * (h - 1) + 1:stride,
+                 v:v + stride * (wd - 1) + 1:stride] += tmp[..., u, v]
+    data = np.ascontiguousarray(full[:, pad:pad + oh, pad:pad + ow] + b)
 
     def backward(g):
-        gwin = _windows_ref(_pad_ref(g, pad), kh, kw, stride)  # [B,Co,H,W,kh,kw]
-        gx = np.tensordot(gwin, w, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-        return gx, np.tensordot(x, gwin, axes=([0, 2, 3], [0, 2, 3])), g.sum(axis=(0, 2, 3))
+        gwin = _windows_ref(_pad_ref(g, pad), kh, kw, stride)  # [B,H,W,Co,kh,kw]
+        gx = np.tensordot(gwin, w, axes=([3, 4, 5], [1, 2, 3]))
+        return gx, np.tensordot(x, gwin, axes=([0, 1, 2], [0, 1, 2])), g.sum(axis=(0, 1, 2))
 
     return data, backward
 
@@ -149,12 +149,11 @@ def _masked_conv_ref(x, w, b, kernel):
     w_eff = w * mask
     xp = _pad_ref(x, pad)
     win = _windows_ref(xp, kernel, kernel, 1)
-    out = np.tensordot(win, w_eff, axes=([1, 4, 5], [1, 2, 3]))
-    data = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b[None, :, None, None]
+    data = np.tensordot(win, w_eff, axes=([3, 4, 5], [1, 2, 3])) + b
 
     def backward(g):
-        gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])) * mask
-        return _conv_input_grad_ref(g, w_eff, xp.shape, 1, pad), gw, g.sum(axis=(0, 2, 3))
+        gw = np.tensordot(g, win, axes=([0, 1, 2], [0, 1, 2])) * mask
+        return _conv_input_grad_ref(g, w_eff, xp.shape, 1, pad), gw, g.sum(axis=(0, 1, 2))
 
     return data, backward
 
@@ -183,15 +182,15 @@ class TestConvReferences:
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_transposed(self, rng, stride, pad, k):
-        x = rng.normal(size=(2, 3, 5, 7))
+        x = channel_last(rng.normal(size=(2, 3, 5, 7)))
         w = rng.normal(size=(3, 4, k, k))
         b = rng.normal(size=4)
         data, backward = _conv2d_transposed_ref(x, w, b, stride, pad)
         g = rng.normal(size=data.shape)
         # the op's body on the helpers, at this stride, pad and kernel
         gwin = T._windows(g, (k, k), stride, pad)
-        out = T._scatter(x, w, stride, pad, data.shape[2:]) + b[None, :, None, None]
-        gx, gw = T._correlate(gwin, w), np.tensordot(x, gwin, axes=([0, 2, 3], [0, 2, 3]))
+        out = T._scatter(x, w, stride, pad, data.shape[1:3]) + b
+        gx, gw = T._correlate(gwin, w), np.tensordot(x, gwin, axes=([0, 1, 2], [0, 1, 2]))
         np.testing.assert_array_equal(out, data)
         ref_gx, ref_gw, ref_gb = backward(g)
         np.testing.assert_array_equal(gw, ref_gw)
@@ -204,7 +203,7 @@ class TestConvReferences:
     @pytest.mark.parametrize("hw", [(7, 5), (9, 11)])
     @pytest.mark.parametrize("kernel", [5, 7])
     def test_masked(self, rng, kernel, hw):
-        x = rng.normal(size=(2, 3) + hw)
+        x = channel_last(rng.normal(size=(2, 3) + hw))
         w = rng.normal(size=(4, 3, kernel, kernel))
         b = rng.normal(size=4)
         data, backward = _masked_conv_ref(x, w, b, kernel)
@@ -222,14 +221,14 @@ class TestConvReferences:
     def test_conv2d_input_grad(self, rng, stride, pad, k):
         # at stride 2, 8 + 2*pad - k is odd: the last padded row lies in no
         # window and gets zero gradient; the 7 columns leave none out
-        x = rng.normal(size=(2, 3, 8, 7))
+        x = channel_last(rng.normal(size=(2, 3, 8, 7)))
         w = rng.normal(size=(4, 3, k, k))
         b = rng.normal(size=4)
         oh = (8 + 2 * pad - k) // stride + 1
         ow = (7 + 2 * pad - k) // stride + 1
-        g = rng.normal(size=(2, 4, oh, ow))
+        g = rng.normal(size=(2, oh, ow, 4))
         gx = T._scatter(g, w, stride, pad, (8, 7))
-        ref = _conv_input_grad_ref(g, w, (2, 3, 8 + 2 * pad, 7 + 2 * pad), stride, pad)
+        ref = _conv_input_grad_ref(g, w, (2, 8 + 2 * pad, 7 + 2 * pad, 3), stride, pad)
         np.testing.assert_allclose(gx, ref, rtol=1e-12)
         if pad == k // 2:  # conv2d's own padding
             _, op_gx, _, _ = _output_and_grads(T.conv2d, x, w, b, g, stride)
@@ -238,7 +237,7 @@ class TestConvReferences:
 
 class TestConv2d:
     def test_identity_1x1(self, rng):
-        x = rng.normal(size=(1, 1, 4, 4))
+        x = channel_last(rng.normal(size=(1, 1, 4, 4)))
         w = np.ones((1, 1, 1, 1))
         b = np.zeros(1)
         out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b))
@@ -249,22 +248,23 @@ class TestConv2d:
         w = np.ones((1, 1, 3, 3))
         b = np.zeros(1)
         expected = naive_conv2d(x, w, b, pad=1)
-        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+        out = T.conv2d(T.Tensor(channel_last(x)), T.Tensor(w), T.Tensor(b))
         # oracle gives 9.0 in the interior, 4.0 at corners
         assert expected[0, 0, 2, 2] == 9.0
         assert expected[0, 0, 0, 0] == 4.0
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(channel_first(out.data), expected, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
     def test_matches_nested_loop_oracle(self, rng, stride, pad):
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride)
-        np.testing.assert_allclose(out.data, naive_conv2d(x, w, b, stride, pad), atol=1e-10)
+        out = T.conv2d(T.Tensor(channel_last(x)), T.Tensor(w), T.Tensor(b), stride=stride)
+        np.testing.assert_allclose(channel_first(out.data), naive_conv2d(x, w, b, stride, pad),
+                                   atol=1e-10)
 
     def test_gradients_vs_finite_differences(self, rng, kink_guard):
-        x = rng.normal(size=(2, 3, 8, 8))
+        x = channel_last(rng.normal(size=(2, 3, 8, 8)))
         w = rng.normal(size=(2, 3, 3, 3))
         b = rng.normal(size=2)
 
@@ -274,7 +274,7 @@ class TestConv2d:
         check_grads(fn, [x, w, b], kink_guard)
 
     def test_shape_contract_errors(self, rng):
-        x = rng.normal(size=(1, 3, 4, 4))
+        x = channel_last(rng.normal(size=(1, 3, 4, 4)))
         with pytest.raises(ContractViolation, match="channels"):
             T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 4, 3, 3))), T.Tensor(np.zeros(2)))
         with pytest.raises(ContractViolation, match="odd"):
@@ -286,7 +286,7 @@ class TestConv2d:
 class TestConvTransposed:
     @pytest.mark.parametrize("k", [1, 2])
     def test_kernel_not_4x4_rejected(self, rng, k):
-        x = T.Tensor(rng.normal(size=(1, 2, 3, 3)))
+        x = T.Tensor(channel_last(rng.normal(size=(1, 2, 3, 3))))
         with pytest.raises(ContractViolation, match=f"4x4, got {k}x{k}"):
             T.conv2d_transposed(x, T.Tensor(np.zeros((2, 2, k, k))), T.Tensor(np.zeros(2)))
 
@@ -294,13 +294,13 @@ class TestConvTransposed:
         x = rng.normal(size=(2, 2, 4, 3))
         w = rng.normal(size=(2, 3, 4, 4))
         b = rng.normal(size=3)
-        out = T.conv2d_transposed(T.Tensor(x), T.Tensor(w), T.Tensor(b))
-        assert out.shape == (2, 3, 8, 6)
-        np.testing.assert_allclose(
-            out.data, naive_conv2d_transposed(x, w, b, stride=2, pad=1), atol=1e-10)
+        out = T.conv2d_transposed(T.Tensor(channel_last(x)), T.Tensor(w), T.Tensor(b))
+        assert out.shape == (2, 8, 6, 3)
+        np.testing.assert_allclose(channel_first(out.data),
+                                   naive_conv2d_transposed(x, w, b, stride=2, pad=1), atol=1e-10)
 
     def test_gradients(self, rng, kink_guard):
-        x = rng.normal(size=(1, 2, 4, 4))
+        x = channel_last(rng.normal(size=(1, 2, 4, 4)))
         w = rng.normal(size=(2, 2, 4, 4))
         b = rng.normal(size=2)
 
@@ -317,15 +317,15 @@ def _conv_args(x, w, b):
 @pytest.mark.parametrize("call, message", [
     (lambda: T.conv2d(*_conv_args((3, 4, 4), (2, 3, 3, 3), 2)),
      "conv2d: input must be 4-D, got 3-D"),
-    (lambda: T.conv2d(*_conv_args((1, 3, 4, 4), (2, 3, 3), 2)),
+    (lambda: T.conv2d(*_conv_args((1, 4, 4, 3), (2, 3, 3), 2)),
      "conv2d: weight must be 4-D, got 3-D"),
-    (lambda: T.conv2d(*_conv_args((1, 3, 4, 4), (2, 3, 3, 3), 3)),
+    (lambda: T.conv2d(*_conv_args((1, 4, 4, 3), (2, 3, 3, 3), 3)),
      "conv2d: bias shape (3,) != (2,)"),
     (lambda: T.conv2d_transposed(*_conv_args((2, 3, 3), (2, 3, 4, 4), 3)),
      "conv2d_transposed: input and weight must be 4-D"),
     (lambda: T.conv2d_transposed(*_conv_args((1, 3, 3, 3), (2, 3, 4, 4), 3)),
      "conv2d_transposed: input channels 3 != weight Cin 2"),
-    (lambda: T.conv2d_transposed(*_conv_args((1, 2, 3, 3), (2, 3, 4, 4), 2)),
+    (lambda: T.conv2d_transposed(*_conv_args((1, 3, 3, 2), (2, 3, 4, 4), 2)),
      "conv2d_transposed: bias shape (2,) != (3,)"),
     (lambda: T.Tensor(np.zeros(2)).item(), "item() on tensor of size 2"),
 ], ids=["conv2d-3d-input", "conv2d-3d-weight", "conv2d-bias", "transposed-3d-input",
@@ -351,7 +351,7 @@ class TestMaskedConv:
         monkeypatch.setattr(T, "causal_mask", lambda k: calls.append(k) or causal_mask(k))
         layer = MaskedConv2d(_ParamStore(), "ctx", 2, 3, 7)
         for _ in range(2):
-            layer(T.Tensor(rng.normal(size=(1, 2, 6, 6))))
+            layer(T.Tensor(channel_last(rng.normal(size=(1, 2, 6, 6)))))
         assert calls == [7]
         np.testing.assert_array_equal(layer.mask, causal_mask(7))
 
@@ -363,28 +363,28 @@ class TestMaskedConv:
         x[:, :, raster >= raster[i, j]] = rng.normal(size=(1, 2, (raster >= raster[i, j]).sum()))
         w = rng.normal(size=(3, 2, 5, 5))
         b = rng.normal(size=3)
-        out = masked_conv(T.Tensor(x), T.Tensor(w), T.Tensor(b))
-        np.testing.assert_array_equal(out.data[0, :, i, j], b)
+        out = masked_conv(T.Tensor(channel_last(x)), T.Tensor(w), T.Tensor(b))
+        np.testing.assert_array_equal(out.data[0, i, j], b)
 
     @pytest.mark.parametrize("kernel", [5, 7])
     def test_exhaustive_perturbation(self, rng, kernel):
         # perturbing input at raster position p leaves all outputs before p
         # bit-identical
-        x = rng.normal(size=(1, 4, 6, 6))
+        x = channel_last(rng.normal(size=(1, 4, 6, 6)))
         w = rng.normal(size=(2, 4, kernel, kernel))
         b = rng.normal(size=2)
         base = masked_conv(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
         for p in range(36):
             i, j = divmod(p, 6)
             xp = x.copy()
-            xp[0, rng.integers(0, 4), i, j] += rng.normal()
+            xp[0, i, j, rng.integers(0, 4)] += rng.normal()
             out = masked_conv(T.Tensor(xp), T.Tensor(w), T.Tensor(b)).data
-            flat_base = base.reshape(1, 2, -1)
-            flat_out = out.reshape(1, 2, -1)
-            assert np.array_equal(flat_base[:, :, :p], flat_out[:, :, :p])
+            flat_base = base.reshape(1, 36, 2)
+            flat_out = out.reshape(1, 36, 2)
+            assert np.array_equal(flat_base[:, :p], flat_out[:, :p])
 
     def test_masked_weights_get_zero_grad(self, rng):
-        x = rng.normal(size=(1, 2, 6, 6))
+        x = channel_last(rng.normal(size=(1, 2, 6, 6)))
         w = T.Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
         b = T.Tensor(rng.normal(size=2), requires_grad=True)
         loss = T.reduce_sum(T.square(masked_conv(T.Tensor(x), w, b)))
@@ -395,7 +395,7 @@ class TestMaskedConv:
         assert np.abs(w.grad * mask).max() > 0
 
     def test_gradients(self, rng, kink_guard):
-        x = rng.normal(size=(1, 2, 6, 6))
+        x = channel_last(rng.normal(size=(1, 2, 6, 6)))
         w = rng.normal(size=(2, 2, 5, 5))
         b = rng.normal(size=2)
 
@@ -537,7 +537,7 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * data)
 
     def test_composite_conv_relu_sum(self, rng, kink_guard):
-        x = rng.normal(size=(1, 2, 5, 5))
+        x = channel_last(rng.normal(size=(1, 2, 5, 5)))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
 
@@ -587,9 +587,9 @@ MIXED_OPS = {
     "div": (T.div, [(2, 3, 4, 4), (1, 3, 1, 1)], (1,)),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [(1, 2, 3, 3), (1, 4, 3, 3)], ()),
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, 2),
-               [(2, 3, 7, 7), (4, 3, 3, 3), (4,)], ()),
-    "conv2d_transposed": (T.conv2d_transposed, [(2, 3, 4, 4), (3, 4, 4, 4), (4,)], ()),
-    "MaskedConv2d": (masked_conv, [(2, 3, 6, 6), (4, 3, 5, 5), (4,)], ()),
+               [(2, 7, 7, 3), (4, 3, 3, 3), (4,)], ()),
+    "conv2d_transposed": (T.conv2d_transposed, [(2, 4, 4, 3), (3, 4, 4, 4), (4,)], ()),
+    "MaskedConv2d": (masked_conv, [(2, 6, 6, 3), (4, 3, 5, 5), (4,)], ()),
 }
 
 
@@ -629,7 +629,8 @@ class TestConstantInputs:
         b = T.Tensor(np.zeros(4))
         for x_requires_grad, expected in ((False, 0), (True, 1)):
             calls.clear()
-            x = T.Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=x_requires_grad)
+            x = T.Tensor(channel_last(rng.normal(size=(2, 3, 6, 6))),
+                         requires_grad=x_requires_grad)
             T.reduce_sum(T.square(T.conv2d(x, w, b))).backward()
             assert len(calls) == expected
             assert w.grad is not None
@@ -640,7 +641,7 @@ class TestNoGrad:
     def test_records_nothing_and_restores(self, rng):
         w = T.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         b = T.Tensor(np.zeros(2), requires_grad=True)
-        x = T.Tensor(rng.normal(size=(1, 1, 5, 5)))
+        x = T.Tensor(channel_last(rng.normal(size=(1, 1, 5, 5))))
         with T.no_grad():
             with T.no_grad():
                 inner = T.conv2d(x, w, b)
@@ -712,7 +713,7 @@ class TestGradientSuiteRandomized:
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_pipeline_many_seeds(self, seed, kink_guard):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(1, 2, 6, 6))
+        x = channel_last(rng.normal(size=(1, 2, 6, 6)))
         w = rng.normal(size=(2, 2, 3, 3))
         b = rng.normal(size=2)
 
