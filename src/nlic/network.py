@@ -276,8 +276,9 @@ class Model:
             elif kind == "prior_slope":
                 data = np.full(t.data.shape, FactorizedPrior.INIT_RAW_SLOPE)
             elif kind == "head_out":
-                # parameter-head bias over (weights, means, scales): uniform
-                # mixture weights, zero means, unit scales
+                # parameter-head bias over (weights, means, scales) x C x K, as
+                # _entropy_params splits it: uniform mixture weights, zero
+                # means, unit scales
                 data = np.zeros(t.data.shape)
                 data.reshape(3, -1)[2] = np.log(np.expm1(1.0 - SCALE_FLOOR))
             else:
@@ -339,6 +340,8 @@ class Model:
         """Context features joined to the transform features, then the two
         1x1 head convs, split into the per-channel mixture parameters. With no
         context model, zeros keep head_x.conv1's shape and init unchanged.
+        The head's 3*C*K output channels run (weights, means, scales) x C x K,
+        the order `init_random`'s head_out bias also assumes.
 
         Returns the Tensors (weights, means, scales), each [B, h, w, C, K]
         and C-contiguous, so the [L, C, K] rows at a batch of locations are
@@ -354,11 +357,8 @@ class Model:
         else:
             ctx = ctx_conv(ctx_input)
         raw = head2(T.leaky_relu(head1(T.concat([features, ctx], axis=-1))))
-        b, h, w, _ = raw.shape
-        # head channels run over (weights, means, scales), C, K; the three go in front
-        p = T.transpose(T.reshape(raw, (b, h, w, 3, -1, self.config.mixtures_k)),
-                        (3, 0, 1, 2, 4, 5))
-        logits, means, raw_scales = (T.select(p, i) for i in range(3))
+        p = T.reshape(raw, raw.shape[:-1] + (3, -1, self.config.mixtures_k))
+        logits, means, raw_scales = (T.select(p, i, axis=-3) for i in range(3))
         return T.softmax(logits), means, T.add(T.softplus(raw_scales), SCALE_FLOOR)
 
 

@@ -322,14 +322,6 @@ def reshape(t: Tensor, shape) -> Tensor:
     return _make(t.data.reshape(shape), (t, lambda g: g.reshape(t.data.shape)))
 
 
-def transpose(t: Tensor, axes) -> Tensor:
-    t = _as_tensor(t)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _make(np.ascontiguousarray(t.data.transpose(axes)),
-                 (t, lambda g: g.transpose(inverse)))
-
-
 def concat(tensors, axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -342,16 +334,16 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(data, *edges)
 
 
-def select(t: Tensor, i: int) -> Tensor:
-    """Entry i along the first axis, with that axis dropped."""
+def select(t: Tensor, i: int, axis: int) -> Tensor:
+    """Entry i along `axis`, with that axis dropped, as a C-contiguous copy."""
     t = _as_tensor(t)
 
     def vjp(g):
         buf = np.zeros_like(t.data)
-        buf[i] = g
+        np.moveaxis(buf, axis, 0)[i] = g
         return buf
 
-    return _make(np.ascontiguousarray(t.data[i]), (t, vjp))
+    return _make(np.ascontiguousarray(np.moveaxis(t.data, axis, 0)[i]), (t, vjp))
 
 
 def softmax(t: Tensor) -> Tensor:

@@ -497,23 +497,42 @@ class TestShapeOps:
     def test_concat_select_roundtrip(self, rng, kink_guard):
         a = rng.normal(size=(2, 3, 3))
         b = rng.normal(size=(3, 3, 3))
-        np.testing.assert_array_equal(T.select(T.concat([a, b], axis=0), 3).data, b[1])
+        np.testing.assert_array_equal(T.select(T.concat([a, b], axis=0), 3, axis=0).data, b[1])
 
         def fn(at, bt):
             cat = T.concat([at, bt], axis=0)
-            return T.reduce_sum(T.mul(T.select(cat, 1), T.select(cat, 3)))
+            return T.reduce_sum(T.mul(T.select(cat, 1, axis=0), T.select(cat, 3, axis=0)))
 
         check_grads(fn, [a, b], kink_guard)
 
-    def test_transpose_reshape(self, rng, kink_guard):
-        x = rng.normal(size=(2, 6, 2, 2))
+    def test_reshape_select_middle_axis(self, rng, kink_guard):
+        # the mixture heads' split: reshape the last axis, then select on
+        # one in the middle
+        x = rng.normal(size=(2, 2, 2, 12))
 
         def fn(a):
-            r = T.reshape(a, (2, 2, 3, 2, 2))
-            tr = T.transpose(r, (0, 2, 1, 3, 4))
-            return T.reduce_sum(T.square(tr))
+            r = T.reshape(a, (2, 2, 2, 3, 2, 2))
+            parts = [T.select(r, i, axis=-3) for i in range(3)]
+            return T.reduce_sum(T.mul(T.square(parts[0]), T.add(parts[1], parts[2])))
 
         check_grads(fn, [x], kink_guard)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3, -1, -2, -3, -4])
+    def test_select_every_axis(self, rng, axis):
+        # the output is numpy's indexing, C-contiguous, and the VJP writes
+        # the upstream gradient into exactly the selected slot
+        x = rng.normal(size=(2, 3, 4, 5))
+        idx = [slice(None)] * 4
+        idx[axis] = 1
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.select(xt, 1, axis=axis)
+        np.testing.assert_array_equal(out.data, x[tuple(idx)])
+        assert out.data.flags.c_contiguous
+        g = rng.normal(size=out.shape)
+        T.reduce_sum(T.mul(out, g)).backward()
+        expected = np.zeros_like(x)
+        expected[tuple(idx)] = g
+        np.testing.assert_array_equal(xt.grad, expected)
 
     def test_reduce_sum_axis(self, rng, kink_guard):
         x = rng.normal(size=(2, 3, 4))
