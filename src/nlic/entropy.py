@@ -10,7 +10,10 @@ to call concurrently.
 Each mixture component lives on the window mu ± TAIL_Z·sd: its cumulative
 is 0 below the window, ndtr inside it and 1 from its upper bound on, so
 both tails fold into the window. ndtr runs only inside the windows, so no
-coded byte depends on it outside [-TAIL_Z, TAIL_Z), up to rounding.
+coded byte depends on it outside [-TAIL_Z, TAIL_Z), up to rounding. Tables
+are built in blocks of rows, each choosing its own branch (gathered or
+dense edges), so a call holds its result plus one block's 512 KiB table,
+whatever its batch size.
 """
 
 from __future__ import annotations
@@ -95,17 +98,26 @@ LATENT_GRID = SymbolGrid(lo=-127, hi=127, step_norm=1.0, lo_value=-127.0)
 # [-TAIL_Z, TAIL_Z) and each fold moves at most ndtr(-TAIL_Z) ~ 9.5e-18.
 TAIL_Z = 8.5
 
+# Cumulative entries per gmm_pmf_table block, 512 KiB of float64: 85 rows for
+# K = 3 on either grid. On the benchmark's recorded wavefront steps the layer
+# time stays within 1-2% of one unblocked table per call, while 2^15 costs
+# 6-18% and 2^14 more, for only 1.6 and 1.9 MB less peak RSS. A block fits
+# in L2, so whole-image batches build faster too.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _mixture(weights, means, scales):
     """float64 (w, mu, sd), checked once per call: all three share one shape
-    [..., K]; means are finite, scales finite and positive, weights finite
-    and nonnegative."""
+    [..., K] with K >= 1; means are finite, scales finite and positive,
+    weights finite and nonnegative."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     sd = np.asarray(scales, dtype=np.float64)
     if mu.ndim < 1 or not w.shape == mu.shape == sd.shape:
         raise ContractViolation(
             f"mixture shapes differ: weights {w.shape}, means {mu.shape}, scales {sd.shape}")
+    if mu.shape[-1] == 0:
+        raise ContractViolation(f"mixture of shape {mu.shape} has no components")
     if not np.isfinite(mu).all():
         raise ContractViolation("mixture means must be finite")
     if not ((sd > 0) & (sd < np.inf)).all():
@@ -164,8 +176,9 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     edges, the first and last edges are set to 0 and 1 so the end bins
     absorb the tails, and the weighted bin differences are summed; each row
     sums to one by construction (up to float addition). Raises
-    ContractViolation for non-finite means, non-finite or non-positive
-    scales, negative or non-finite weights, or mismatched shapes.
+    ContractViolation for an empty mixture (K = 0), non-finite means,
+    non-finite or non-positive scales, negative or non-finite weights, or
+    mismatched shapes.
 
     A component's cumulative at edge e is 0 for e < lo, ndtr((e - mu)/sd)
     for lo <= e < hi and 1 for e >= hi, with lo and hi the floats mu -/+
@@ -176,15 +189,40 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     operations in both branches below, so each row's table depends on its
     own parameters only, not on the rows that share its call.
 
-    When the windows cover less than half of the edges, the live edges of
-    all components are gathered into one ndtr call and scattered into a
-    table prefilled with 0.0 below and 1.0 above each window. Otherwise, as
-    for wide scales, the gather and scatter would cost more than the calls
-    they skip: ndtr runs on every edge, and the few components whose window
-    does not cover every edge take the prefill's values outside it.
+    The parameters are taken as [R, K] rows and built in blocks of as many
+    rows as fit _BLOCK_ENTRIES cumulative entries (85 rows for K = 3 on
+    either grid), each block into its slice of one [R, n_symbols] result.
+    So the working set is the result plus one block's [rows, K, n+1]
+    float64 table (at most 512 KiB, unless one row alone is larger) and the
+    gather's index arrays, whatever R is; a call that fits in one block
+    builds its table in one piece.
+
+    Each block takes one of two branches. When the windows cover less than
+    half of its edges, the live edges of all its components are gathered
+    into one ndtr call and scattered into a table prefilled with 0.0 below
+    and 1.0 above each window. Otherwise, as for wide scales, the gather
+    and scatter would cost more than the calls they skip: ndtr runs on
+    every edge, and the few components whose window does not cover every
+    edge take the prefill's values outside it.
     """
     w, mu, sd = _mixture(weights, means, scales)
     edges, steps = _edge_tables(grid)
+    k = mu.shape[-1]
+    shape = mu.shape[:-1] + (grid.n_symbols,)
+    w, mu, sd = w.reshape(-1, k), mu.reshape(-1, k), sd.reshape(-1, k)
+    block = max(1, _BLOCK_ENTRIES // (k * edges.size))
+    if len(mu) <= block:
+        return _pmf_rows(w, mu, sd, edges, steps).reshape(shape)
+    pmf = np.empty((len(mu), grid.n_symbols))
+    for start in range(0, len(mu), block):
+        part = slice(start, start + block)
+        _pmf_rows(w[part], mu[part], sd[part], edges, steps, out=pmf[part])
+    return pmf.reshape(shape)
+
+
+def _pmf_rows(w, mu, sd, edges, steps, out=None) -> np.ndarray:
+    """gmm_pmf_table's body on checked [r, K] rows: the [r, n] pmf, written
+    into out when it is given."""
     mu_f, sd_f = mu.ravel(), sd.ravel()
     with np.errstate(over="ignore"):
         a = edges.searchsorted(mu_f - TAIL_Z * sd_f)
@@ -202,10 +240,13 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         cdf.reshape(-1)[col] = ndtr(z, out=z)
         cdf = cdf.reshape(mu.shape + edges.shape)
     else:
-        # one buffer holds z, then ndtr(z), then the bin masses; C order
-        # whatever the parameters' layout, as _bin_masses needs
+        # one buffer holds the edges, z, ndtr(z), then the bin masses; C
+        # order whatever the parameters' layout, as _bin_masses needs.
+        # Copying the edges in first leaves numpy one broadcast operand to
+        # buffer, not two, and is faster than broadcasting both
         cdf = np.empty(mu.shape + edges.shape)
-        np.subtract(edges, mu[..., None], out=cdf)
+        np.copyto(cdf, edges)
+        np.subtract(cdf, mu[..., None], out=cdf)
         with np.errstate(over="ignore"):  # z is +-inf for tiny scales
             np.divide(cdf, sd[..., None], out=cdf)
         ndtr(cdf, out=cdf)
@@ -214,7 +255,7 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
         rows = cdf.reshape(-1, edges.size)
         fill = steps[b[cut]]
         rows[cut] = np.where(steps[a[cut]] > fill, rows[cut], fill)
-    return np.einsum("...k,...ks->...s", w, _bin_masses(cdf))
+    return np.einsum("rk,rks->rs", w, _bin_masses(cdf), out=out)
 
 
 # ---------------------------------------------------------------------------

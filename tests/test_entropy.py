@@ -228,8 +228,8 @@ class TestGmmPmfTableOracle:
             (shape,) = ndtr_shapes
             if gathered:
                 assert len(shape) == 1 and 2 * shape[0] < mu.size * n_edges
-            else:
-                assert shape == mu.shape + (n_edges,)
+            else:  # the flattened [R, K] rows, in one block
+                assert shape == (mu.size // 3, 3, n_edges)
 
     @GRIDS
     @pytest.mark.parametrize("wide_rows", [6, 26], ids=["gathered", "dense"])
@@ -250,6 +250,27 @@ class TestGmmPmfTableOracle:
             np.testing.assert_array_equal(E.gmm_pmf_table(*(a[row] for a in batch), grid),
                                           tables[row])
         assert {len(shape) == 1 for shape in ndtr_shapes[1:]} == {True, False}
+
+    @GRIDS
+    def test_block_boundaries(self, grid, ndtr_shapes, rng):
+        # 4 full blocks of 85 rows and a partial one of 37, which take the
+        # gather (floor scales) and ndtr on every edge (grid-span scales) in
+        # turn: every row equals that row alone, bit for bit, so no block
+        # is dropped, shifted or built with another block's branch
+        block = E._BLOCK_ENTRIES // (3 * (grid.n_symbols + 1))
+        assert block == 85
+        n_rows = 4 * block + 37
+        w, mu, _ = random_gmm_params(rng, (n_rows,), 3, grid)
+        wide = np.broadcast_to((np.arange(n_rows) // block % 2 == 1)[:, None], mu.shape)
+        batch = E.determinize(w, mu, np.where(wide, grid.span, E.SCALE_FLOOR), grid)
+        ndtr_shapes.clear()
+        tables = E.gmm_pmf_table(*batch, grid)
+        assert [len(shape) == 1 for shape in ndtr_shapes] == [True, False, True, False, True]
+        assert tables.shape == (n_rows, grid.n_symbols)
+        for row in range(n_rows):
+            np.testing.assert_array_equal(E.gmm_pmf_table(*(a[row] for a in batch), grid),
+                                          tables[row])
+        self.assert_same(*batch, grid)
 
     @GRIDS
     @pytest.mark.parametrize("scale", ["floor", "mixed", "span"])
@@ -276,30 +297,36 @@ class TestGmmPmfTableOracle:
 
 
 class TestTableBuffers:
-    """gmm_pmf_table holds one table-sized buffer per call and no grid-sized
-    state, and _bin_masses takes the differences in that buffer."""
+    """gmm_pmf_table holds its result and one block-sized table buffer per
+    call, whatever the batch size, and no grid-sized state; _bin_masses
+    takes the differences in that buffer."""
 
     @pytest.mark.parametrize(
         ("gathered", "cold"), [(False, False), (True, False), (False, True), (True, True)],
         ids=["dense", "gathered", "dense-cold", "gathered-cold"])
     def test_one_table_buffer_per_call(self, gathered, cold, ndtr_shapes, rng):
         grid = E.LATENT_GRID
-        w, mu, sd = random_gmm_params(rng, (6, 32), 3, grid)  # a latent wavefront batch
-        sd[:] = E.SCALE_FLOOR if gathered else grid.span
-        E.gmm_pmf_table(w, mu, sd, grid)  # fills the edge-table cache
-        if cold:  # the measured call builds the edge tables too
-            E._edge_tables.cache_clear()
-        ndtr_shapes.clear()
-        tracemalloc.start()
-        try:
-            pmf = E.gmm_pmf_table(w, mu, sd, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        (shape,) = ndtr_shapes
-        assert (len(shape) == 1) == gathered
-        table = mu.size * (grid.n_symbols + 1) * 8  # one [6, 32, 3, 256] float64 table
-        assert peak <= pmf.nbytes + 1.25 * table
+        n_edges = grid.n_symbols + 1
+        block = E._BLOCK_ENTRIES // (3 * n_edges)  # 85 rows
+        table = block * 3 * n_edges * 8  # one block's [85, 3, 256] float64 table
+        # a latent wavefront batch of 3 blocks, and one of 25 blocks whose
+        # unblocked table would take 12.6 MB
+        for locations in (6, 64):
+            w, mu, sd = random_gmm_params(rng, (locations, 32), 3, grid)
+            sd[:] = E.SCALE_FLOOR if gathered else grid.span
+            E.gmm_pmf_table(w, mu, sd, grid)  # fills the edge-table cache
+            if cold:  # the measured call builds the edge tables too
+                E._edge_tables.cache_clear()
+            ndtr_shapes.clear()
+            tracemalloc.start()
+            try:
+                pmf = E.gmm_pmf_table(w, mu, sd, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(ndtr_shapes) == -(-locations * 32 // block)
+            assert all((len(shape) == 1) == gathered for shape in ndtr_shapes)
+            assert peak <= pmf.nbytes + 1.25 * table
 
     @GRIDS
     def test_step_rows_share_one_ramp(self, grid):
@@ -429,6 +456,12 @@ class TestMixtureContract:
         with pytest.raises(ContractViolation, match="shapes"):
             E.gmm_pmf_table(np.ones(w_shape), np.zeros(mu_shape), np.ones(sd_shape),
                             E.LATENT_GRID)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 0)])
+    def test_empty_mixture_rejected(self, shape):
+        # K = 0 components would give rows of zeros, which are not a pmf
+        with pytest.raises(ContractViolation, match="no components"):
+            E.gmm_pmf_table(np.zeros(shape), np.zeros(shape), np.ones(shape), E.LATENT_GRID)
 
     @GRIDS
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0, 3)], ids=["no-locations", "no-channels"])
