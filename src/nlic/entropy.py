@@ -194,8 +194,7 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     either grid), each block into its slice of one [R, n_symbols] result.
     So the working set is the result plus one block's [rows, K, n+1]
     float64 table (at most 512 KiB, unless one row alone is larger) and the
-    gather's index arrays, whatever R is; a call that fits in one block
-    builds its table in one piece.
+    gather's index arrays, whatever R is.
 
     Each block takes one of two branches. When the windows cover less than
     half of its edges, the live edges of all its components are gathered
@@ -211,8 +210,6 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     shape = mu.shape[:-1] + (grid.n_symbols,)
     w, mu, sd = w.reshape(-1, k), mu.reshape(-1, k), sd.reshape(-1, k)
     block = max(1, _BLOCK_ENTRIES // (k * edges.size))
-    if len(mu) <= block:
-        return _pmf_rows(w, mu, sd, edges, steps).reshape(shape)
     pmf = np.empty((len(mu), grid.n_symbols))
     for start in range(0, len(mu), block):
         part = slice(start, start + block)
@@ -220,9 +217,9 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     return pmf.reshape(shape)
 
 
-def _pmf_rows(w, mu, sd, edges, steps, out=None) -> np.ndarray:
-    """gmm_pmf_table's body on checked [r, K] rows: the [r, n] pmf, written
-    into out when it is given."""
+def _pmf_rows(w, mu, sd, edges, steps, out) -> np.ndarray:
+    """gmm_pmf_table's body on checked [r, K] rows: writes the [r, n] pmf
+    into out and returns it."""
     mu_f, sd_f = mu.ravel(), sd.ravel()
     with np.errstate(over="ignore"):
         a = edges.searchsorted(mu_f - TAIL_Z * sd_f)
