@@ -140,15 +140,22 @@ class Conv2d:
 
 
 class Upsample2x:
-    """A 4x4 transposed conv of stride 2 and pad 1: doubles height and width.
-    Each output takes 2x2 of the 4x4 taps, so the fan-in is 4 * channels."""
+    """Sub-pixel convolution: a 3x3 conv from C to 4C channels, then
+    depth_to_space, doubles height and width. Output pixel (2h + i, 2w + j)
+    is channels (2i + j)C to (2i + j + 1)C - 1 of the conv at (h, w).
+
+    It represents every 4x4, stride-2, pad-1 transposed conv exactly: for
+    w4 [C, C, 4, 4] and b4, set w[(2i + j)C + co, ci, dr + 1, dc + 1] =
+    w4[ci, co, u(i, dr), u(j, dc)], b[(2i + j)C + co] = b4[co] and every
+    other tap to zero, where u reads
+        phase 0: tap 3 at input offset -1, tap 1 at offset 0
+        phase 1: tap 2 at input offset 0,  tap 0 at offset +1."""
 
     def __init__(self, store, name, channels):
-        self.w = store.add(f"{name}.w", (channels, channels, 4, 4), "fan_in", 4 * channels)
-        self.b = store.add(f"{name}.b", (channels,), "zero")
+        self.conv = Conv2d(store, name, channels, 4 * channels, 3)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d_transposed(x, self.w, self.b)
+        return T.depth_to_space(self.conv(x))
 
 
 class MaskedConv2d:
@@ -206,8 +213,9 @@ class Model:
     """All learnable state plus the transform/head graph over it.
 
     Analysis runs two stride-2 stages with attention between them, synthesis
-    two stride-2 upsamples with attention between them; the hyper transforms
-    add two stride-2 convs and two upsamples, a 4x hyper path."""
+    two 2x upsamples with attention between them; the hyper transforms add
+    two stride-2 convs and two upsamples, a 4x hyper path. Every upsample
+    is a sub-pixel convolution (Upsample2x)."""
 
     def __init__(self, config: ModelConfig):
         self.config = config

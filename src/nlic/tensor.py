@@ -2,14 +2,14 @@
 
 Covers exactly the operator set the codec networks need: a handful of
 elementwise nonlinearities, a last-axis softmax, reductions, shape plumbing
-and two convolutions, each with one fixed contract: ``conv2d`` (odd square
-kernel, zero padding k//2, stride 1 or 2, output ceil(H/s) x ceil(W/s)) and
-``conv2d_transposed`` (4x4 kernel, stride 2, padding 1, output 2H x 2W).
-Activations are channel-last, [B, H, W, C]; conv weights are
-[Cout, Cin, k, k] ([Cin, Cout, 4, 4] for the transposed conv).
-Every op is a primitive with its own VJP; the context models' mask-A conv
-is a layer over ``conv2d``, ``mul`` and ``causal_mask``. Only an empty input
-gives an empty output; each refuses one. A dynamic graph is recorded per
+and one convolution with one contract: ``conv2d`` (odd square kernel, zero
+padding k//2, stride 1 or 2, output ceil(H/s) x ceil(W/s)), which refuses
+an empty input. Activations are channel-last, [B, H, W, C]; the one conv
+weight layout is [Cout, Cin, k, k]. Every op is a primitive with its own
+VJP; the layers are built over them: the context models' mask-A conv over
+``conv2d``, ``mul`` and ``causal_mask``, and the sub-pixel upsampler over
+``conv2d`` and the layout op ``depth_to_space``, which moves four channel
+groups into a 2x2 block of pixels. A dynamic graph is recorded per
 forward pass; ``backward()`` on a scalar loss walks it once in reverse
 topological order and then releases it, so a second backward without a new
 forward raises.
@@ -346,6 +346,23 @@ def select(t: Tensor, i: int, axis: int) -> Tensor:
     return _make(np.ascontiguousarray(np.moveaxis(t.data, axis, 0)[i]), (t, vjp))
 
 
+def depth_to_space(t: Tensor) -> Tensor:
+    """[B, H, W, 4C] -> [B, 2H, 2W, C]: channels (2i + j)C to (2i + j + 1)C - 1
+    of pixel (h, w) become pixel (2h + i, 2w + j), as a C-contiguous copy.
+    The VJP is the inverse reshape."""
+    t = _as_tensor(t)
+    if t.data.ndim != 4:
+        raise ContractViolation(f"depth_to_space: input must be 4-D, got {t.data.ndim}-D")
+    b, h, w, c4 = t.data.shape
+    if c4 % 4:
+        raise ContractViolation(f"depth_to_space: channels {c4} not a multiple of 4")
+    c = c4 // 4
+    data = (t.data.reshape(b, h, w, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+            .reshape(b, 2 * h, 2 * w, c))
+    return _make(data, (t, lambda g: g.reshape(b, h, 2, w, 2, c)
+                        .transpose(0, 1, 3, 2, 4, 5).reshape(b, h, w, c4)))
+
+
 def softmax(t: Tensor) -> Tensor:
     """Softmax over the last axis: the outputs along it are positive and
     sum to one."""
@@ -361,23 +378,10 @@ def softmax(t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _windows(x: np.ndarray, kernel, stride: int, pad: int) -> np.ndarray:
-    """[B,OH,OW,C,kh,kw] window view of [B,H,W,C] zero-padded by pad."""
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    return sliding_window_view(x, kernel, axis=(1, 2))[:, ::stride, ::stride]
-
-
-def _correlate(win: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contiguous [B,OH,OW,Co] products of windows [B,OH,OW,C,kh,kw] with
-    w [Co,C,kh,kw]."""
-    return np.tensordot(win, w, axes=([3, 4, 5], [1, 2, 3]))
-
-
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, pad: int, out_hw) -> np.ndarray:
-    """Adjoint of _correlate: every location of g [B,H,W,Co] adds its value
-    times w [Co,C,kh,kw] into the kh x kw patch it was correlated from, on a
-    canvas padded by pad; returns the [B,*out_hw,C] interior of the canvas."""
+    """Adjoint of conv2d's correlation: every location of g [B,H,W,Co] adds
+    its value times w [Co,C,kh,kw] into the kh x kw patch it was correlated
+    from, on a canvas padded by pad; returns the [B,*out_hw,C] interior."""
     bsz, h, w_in, _ = g.shape
     kh, kw = w.shape[2:]
     oh, ow = out_hw
@@ -413,41 +417,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     if h < 1 or w_in < 1:
         raise ContractViolation(f"conv2d: empty input {h}x{w_in}")
 
-    # bias and weight VJPs run first, so their temporaries are freed before
+    # win is the [B,OH,OW,Cin,k,k] window view of the zero-padded input.
+    # Bias and weight VJPs run first, so their temporaries are freed before
     # the input gradient is allocated; input first took about twice the page
     # faults per training step
-    win = _windows(x.data, (kh, kw), stride, kh // 2)
-    return _make(_correlate(win, w.data) + b.data,
+    pad = kh // 2
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return _make(np.tensordot(win, w.data, axes=([3, 4, 5], [1, 2, 3])) + b.data,
                  (b, lambda g: g.sum(axis=(0, 1, 2))),
                  (w, lambda g: np.tensordot(g, win, axes=([0, 1, 2], [0, 1, 2]))),
-                 (x, lambda g: _scatter(g, w.data, stride, kh // 2, (h, w_in))))
-
-
-def conv2d_transposed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Transposed convolution (gradient-of-conv2d semantics) with a 4x4 kernel,
-    stride 2 and padding 1: weight layout [Cin,Cout,4,4], output 2H x 2W."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ContractViolation("conv2d_transposed: input and weight must be 4-D")
-    ci, co, kh, kw = w.data.shape
-    if (kh, kw) != (4, 4):
-        raise ContractViolation(f"conv2d_transposed: kernel must be 4x4, got {kh}x{kw}")
-    if x.data.shape[3] != ci:
-        raise ContractViolation(
-            f"conv2d_transposed: input channels {x.data.shape[3]} != weight Cin {ci}")
-    if b.data.shape != (co,):
-        raise ContractViolation(f"conv2d_transposed: bias shape {b.data.shape} != ({co},)")
-    h, w_in = x.data.shape[1:3]
-    if h < 1 or w_in < 1:
-        raise ContractViolation(f"conv2d_transposed: empty input {h}x{w_in}")
-
-    def g_windows(g):  # [B,H,W,Co,4,4]
-        return _windows(g, (4, 4), 2, 1)
-
-    data = _scatter(x.data, w.data, 2, 1, (2 * h, 2 * w_in)) + b.data
-    return _make(data, (b, lambda g: g.sum(axis=(0, 1, 2))),
-                 (w, lambda g: np.tensordot(x.data, g_windows(g), axes=([0, 1, 2], [0, 1, 2]))),
-                 (x, lambda g: _correlate(g_windows(g), w.data)))
+                 (x, lambda g: _scatter(g, w.data, stride, pad, (h, w_in))))
 
 
 def causal_mask(kernel: int) -> np.ndarray:

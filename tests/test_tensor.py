@@ -3,6 +3,7 @@ the no_grad context."""
 
 import importlib.machinery
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -19,7 +20,7 @@ import nlic
 from nlic import tensor as T
 from nlic.entropy import TAIL_Z
 from nlic.errors import ContractViolation
-from nlic.network import MaskedConv2d, _ParamStore
+from nlic.network import MaskedConv2d, Upsample2x, _ParamStore
 
 from conftest import channel_first, channel_last, finite_difference, rel_err
 
@@ -107,30 +108,6 @@ def _conv_input_grad_ref(g, w, x_padded_shape, stride, pad):
     return gp
 
 
-def _conv2d_transposed_ref(x, w, b, stride, pad):
-    """Reference conv2d_transposed as its own body: one tensordot scattered
-    tap by tap, and a backward over windows of the padded output gradient.
-    Returns the output and a map from output gradient to (gx, gw, gb)."""
-    bsz, h, wd, _ = x.shape
-    _, co, kh, kw = w.shape
-    oh = (h - 1) * stride - 2 * pad + kh
-    ow = (wd - 1) * stride - 2 * pad + kw
-    full = np.zeros((bsz, (h - 1) * stride + kh, (wd - 1) * stride + kw, co))
-    tmp = np.tensordot(x, w, axes=([3], [0]))  # [B,H,W,Co,kh,kw]
-    for u in range(kh):
-        for v in range(kw):
-            full[:, u:u + stride * (h - 1) + 1:stride,
-                 v:v + stride * (wd - 1) + 1:stride] += tmp[..., u, v]
-    data = np.ascontiguousarray(full[:, pad:pad + oh, pad:pad + ow] + b)
-
-    def backward(g):
-        gwin = _windows_ref(_pad_ref(g, pad), kh, kw, stride)  # [B,H,W,Co,kh,kw]
-        gx = np.tensordot(gwin, w, axes=([3, 4, 5], [1, 2, 3]))
-        return gx, np.tensordot(x, gwin, axes=([0, 1, 2], [0, 1, 2])), g.sum(axis=(0, 1, 2))
-
-    return data, backward
-
-
 def masked_conv(x, w, b):
     """A MaskedConv2d layer on x, its parameters replaced by the Tensors w
     and b, so a test sets which of them require grad."""
@@ -167,38 +144,27 @@ def _output_and_grads(op, x, w, b, g, *args):
 
 
 class TestConvReferences:
-    """conv2d_transposed, MaskedConv2d and conv2d's input gradient against
-    the bodies they had before all three ran on _correlate and _scatter.
+    """MaskedConv2d and conv2d's input gradient against the bodies they had
+    before they ran on _scatter, and _scatter against the loop oracle.
     Outputs and weight and bias gradients are bit-identical; input
     gradients sum the same products, grouped into other BLAS calls.
 
-    The ops have one contract each, but _windows, _scatter and _correlate
-    keep their stride and pad, because conv2d's input gradient calls
-    _scatter with several of each; the transposed body and the input
-    gradient are checked on them at every stride, pad and kernel, and
-    through the op where the op's contract is that case."""
+    conv2d has one contract, but _scatter keeps its stride and pad, because
+    conv2d's input gradient calls it with several of each; it is checked at
+    every stride, pad and kernel, and through the op where the op's
+    contract is that case."""
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_transposed(self, rng, stride, pad, k):
-        x = channel_last(rng.normal(size=(2, 3, 5, 7)))
+        # _scatter is a transposed convolution, its weight read as
+        # [Cin, Cout, k, k]
+        x = rng.normal(size=(2, 3, 5, 7))
         w = rng.normal(size=(3, 4, k, k))
-        b = rng.normal(size=4)
-        data, backward = _conv2d_transposed_ref(x, w, b, stride, pad)
-        g = rng.normal(size=data.shape)
-        # the op's body on the helpers, at this stride, pad and kernel
-        gwin = T._windows(g, (k, k), stride, pad)
-        out = T._scatter(x, w, stride, pad, data.shape[1:3]) + b
-        gx, gw = T._correlate(gwin, w), np.tensordot(x, gwin, axes=([0, 1, 2], [0, 1, 2]))
-        np.testing.assert_array_equal(out, data)
-        ref_gx, ref_gw, ref_gb = backward(g)
-        np.testing.assert_array_equal(gw, ref_gw)
-        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12)
-        if (stride, pad, k) == (2, 1, 4):  # conv2d_transposed's one contract
-            op = _output_and_grads(T.conv2d_transposed, x, w, b, g)
-            for got, want in zip(op, (data, gx, gw, ref_gb), strict=True):
-                np.testing.assert_array_equal(got, want)
+        want = naive_conv2d_transposed(x, w, np.zeros(4), stride, pad)
+        out = T._scatter(channel_last(x), w, stride, pad, want.shape[2:])
+        np.testing.assert_allclose(channel_first(out), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("hw", [(7, 5), (9, 11)])
     @pytest.mark.parametrize("kernel", [5, 7])
@@ -283,31 +249,49 @@ class TestConv2d:
             T.conv2d(T.Tensor(x), T.Tensor(np.zeros((2, 3, 3, 1))), T.Tensor(np.zeros(2)))
 
 
-class TestConvTransposed:
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_kernel_not_4x4_rejected(self, rng, k):
-        x = T.Tensor(channel_last(rng.normal(size=(1, 2, 3, 3))))
-        with pytest.raises(ContractViolation, match=f"4x4, got {k}x{k}"):
-            T.conv2d_transposed(x, T.Tensor(np.zeros((2, 2, k, k))), T.Tensor(np.zeros(2)))
-
-    def test_matches_oracle(self, rng):
-        x = rng.normal(size=(2, 2, 4, 3))
-        w = rng.normal(size=(2, 3, 4, 4))
-        b = rng.normal(size=3)
-        out = T.conv2d_transposed(T.Tensor(channel_last(x)), T.Tensor(w), T.Tensor(b))
-        assert out.shape == (2, 8, 6, 3)
-        np.testing.assert_allclose(channel_first(out.data),
-                                   naive_conv2d_transposed(x, w, b, stride=2, pad=1), atol=1e-10)
+class TestDepthToSpace:
+    def test_matches_loop_reference(self, rng):
+        c = 5
+        x = rng.normal(size=(2, 3, 4, 4 * c))
+        out = T.depth_to_space(T.Tensor(x)).data
+        assert out.shape == (2, 6, 8, c) and out.flags.c_contiguous
+        want = np.empty_like(out)
+        for b, h, w, i, j, ch in np.ndindex(2, 3, 4, 2, 2, c):
+            want[b, 2 * h + i, 2 * w + j, ch] = x[b, h, w, (2 * i + j) * c + ch]
+        np.testing.assert_array_equal(out, want)
 
     def test_gradients(self, rng, kink_guard):
-        x = channel_last(rng.normal(size=(1, 2, 4, 4)))
-        w = rng.normal(size=(2, 2, 4, 4))
-        b = rng.normal(size=2)
+        x = rng.normal(size=(2, 2, 3, 8))
+        ramp = np.linspace(0.5, 1.5, x.size).reshape(2, 4, 6, 2)
 
-        def fn(xt, wt, bt):
-            return T.reduce_sum(T.square(T.conv2d_transposed(xt, wt, bt)))
+        def fn(a):
+            return T.reduce_sum(T.mul(T.square(T.depth_to_space(a)), ramp))
 
-        check_grads(fn, [x, w, b], kink_guard)
+        check_grads(fn, [x], kink_guard)
+
+
+class TestUpsample2x:
+    # phase -> input offset -> tap of the 4x4 transposed-conv kernel
+    TAPS = {0: {-1: 3, 0: 1}, 1: {0: 2, 1: 0}}
+
+    def test_represents_transposed_conv(self, rng):
+        # loaded with the sub-pixel weights of a random 4x4 kernel by the
+        # phase table, the layer is that stride-2, pad-1 transposed conv
+        c = 3
+        x = rng.normal(size=(2, c, 4, 5))
+        w4 = rng.normal(size=(c, c, 4, 4))
+        b4 = rng.normal(size=c)
+        w = np.zeros((4 * c, c, 3, 3))
+        for i, j in np.ndindex(2, 2):
+            for (dr, u), (dc, v) in itertools.product(self.TAPS[i].items(),
+                                                      self.TAPS[j].items()):
+                w[(2 * i + j) * c:(2 * i + j + 1) * c, :, dr + 1, dc + 1] = w4[:, :, u, v].T
+        layer = Upsample2x(_ParamStore(), "up", c)
+        layer.conv.w.data, layer.conv.b.data = w, np.tile(b4, 4)
+        out = layer(T.Tensor(channel_last(x))).data
+        np.testing.assert_allclose(channel_first(out),
+                                   naive_conv2d_transposed(x, w4, b4, stride=2, pad=1),
+                                   rtol=0, atol=1e-12)
 
 
 def _conv_args(x, w, b):
@@ -321,15 +305,13 @@ def _conv_args(x, w, b):
      "conv2d: weight must be 4-D, got 3-D"),
     (lambda: T.conv2d(*_conv_args((1, 4, 4, 3), (2, 3, 3, 3), 3)),
      "conv2d: bias shape (3,) != (2,)"),
-    (lambda: T.conv2d_transposed(*_conv_args((2, 3, 3), (2, 3, 4, 4), 3)),
-     "conv2d_transposed: input and weight must be 4-D"),
-    (lambda: T.conv2d_transposed(*_conv_args((1, 3, 3, 3), (2, 3, 4, 4), 3)),
-     "conv2d_transposed: input channels 3 != weight Cin 2"),
-    (lambda: T.conv2d_transposed(*_conv_args((1, 3, 3, 2), (2, 3, 4, 4), 2)),
-     "conv2d_transposed: bias shape (2,) != (3,)"),
+    (lambda: T.depth_to_space(T.Tensor(np.zeros((3, 4, 8)))),
+     "depth_to_space: input must be 4-D, got 3-D"),
+    (lambda: T.depth_to_space(T.Tensor(np.zeros((1, 3, 3, 6)))),
+     "depth_to_space: channels 6 not a multiple of 4"),
     (lambda: T.Tensor(np.zeros(2)).item(), "item() on tensor of size 2"),
-], ids=["conv2d-3d-input", "conv2d-3d-weight", "conv2d-bias", "transposed-3d-input",
-        "transposed-channels", "transposed-bias", "item-non-scalar"])
+], ids=["conv2d-3d-input", "conv2d-3d-weight", "conv2d-bias", "depth-to-space-3d-input",
+        "depth-to-space-channels", "item-non-scalar"])
 def test_contract_violations(call, message):
     with pytest.raises(ContractViolation, match=re.escape(message)):
         call()
@@ -607,7 +589,7 @@ MIXED_OPS = {
     "concat": (lambda a, b: T.concat([a, b], axis=1), [(1, 2, 3, 3), (1, 4, 3, 3)], ()),
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, 2),
                [(2, 7, 7, 3), (4, 3, 3, 3), (4,)], ()),
-    "conv2d_transposed": (T.conv2d_transposed, [(2, 4, 4, 3), (3, 4, 4, 4), (4,)], ()),
+    "depth_to_space": (T.depth_to_space, [(2, 3, 4, 8)], ()),
     "MaskedConv2d": (masked_conv, [(2, 6, 6, 3), (4, 3, 5, 5), (4,)], ()),
 }
 
