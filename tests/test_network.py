@@ -687,9 +687,7 @@ class TestGradientFlow:
         fd = finite_difference(fn_picked, [x_data.reshape(-1)[picked]], kink_guard)
         assert rel_err(channel_first(xt.grad).reshape(-1)[picked], fd[0]) < 1e-4
 
-    # sha256 of the loss, then of every gradient in store order. Both moved
-    # when the upsamplers became sub-pixel convolutions, which have other
-    # parameters
+    # sha256 of the loss, then of every gradient in store order
     STEP_DIGESTS = {
         True: ("d9987d3809728938b1913fc9793b65ff35aecdf0ab218ce8425d50e0856f97fc",
                "be4e028de8365ca6e0f23385e0b9e3a3bc0e25b28a4505cbef0fb3581da8c742"),

@@ -286,7 +286,11 @@ class TestUpsample2x:
             for (dr, u), (dc, v) in itertools.product(self.TAPS[i].items(),
                                                       self.TAPS[j].items()):
                 w[(2 * i + j) * c:(2 * i + j + 1) * c, :, dr + 1, dc + 1] = w4[:, :, u, v].T
-        layer = Upsample2x(_ParamStore(), "up", c)
+        store = _ParamStore()
+        layer = Upsample2x(store, "up", c)
+        assert {k: t.shape for k, t in store.params.items()} == {
+            "up.w": (4 * c, c, 3, 3), "up.b": (4 * c,)}
+        assert store.specs == {"up.w": ("fan_in", 9 * c), "up.b": ("zero", 0)}
         layer.conv.w.data, layer.conv.b.data = w, np.tile(b4, 4)
         out = layer(T.Tensor(channel_last(x))).data
         np.testing.assert_allclose(channel_first(out),
