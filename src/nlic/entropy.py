@@ -18,7 +18,7 @@ whatever its batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,12 +51,25 @@ class SymbolGrid:
 
     value(s) = lo_value + (s - lo) * step_norm; step_norm is the size of one
     integer step in normalized units.
+
+    A grid builds its tables once, when it is made, as read-only float64:
+    `edges` holds the m = n_symbols + 1 bin edges value(lo) - step/2 ...
+    value(hi) + step/2, and `step_rows` the m + 1 rows that fill a windowed
+    table outside its windows, row k being 0.0 before edge k and 1.0 from it
+    on. The rows are windows of one ramp of m zeros then m ones, row k being
+    ramp[m - k : 2m - k], so they cost 2m floats, not (m + 1)·m. Indexing
+    them with an integer array copies the rows into a fresh C-contiguous
+    array, which callers may write to; the rows themselves overlap in
+    memory, so they are read-only. Equality, hashing and repr use the four
+    parameters only, and dataclasses.replace builds new tables.
     """
 
     lo: int
     hi: int
     step_norm: float
     lo_value: float
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    step_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lo >= self.hi:
@@ -65,6 +78,13 @@ class SymbolGrid:
             raise ContractViolation(f"grid step_norm {self.step_norm} must be finite and positive")
         if not np.isfinite(self.lo_value):
             raise ContractViolation(f"grid lo_value {self.lo_value} must be finite")
+        s = np.arange(self.lo, self.hi + 2, dtype=np.float64)
+        edges = self.lo_value + (s - self.lo) * self.step_norm - self.step_norm / 2.0
+        edges.flags.writeable = False
+        ramp = np.repeat([0.0, 1.0], edges.size)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "step_rows",
+                           np.lib.stride_tricks.sliding_window_view(ramp, edges.size)[::-1])
 
     @property
     def n_symbols(self) -> int:
@@ -76,11 +96,6 @@ class SymbolGrid:
 
     def value(self, symbol):
         return self.lo_value + (np.asarray(symbol) - self.lo) * self.step_norm
-
-    def edges(self) -> np.ndarray:
-        """Bin edges value(lo)-step/2 ... value(hi)+step/2 (n_symbols+1 of them)."""
-        s = np.arange(self.lo, self.hi + 2, dtype=np.float64)
-        return self.lo_value + (s - self.lo) * self.step_norm - self.step_norm / 2.0
 
 
 # Pixels: 0..255 mapped to [-1, 1]. Latents: plain integers -127..127.
@@ -125,27 +140,6 @@ def _mixture(weights, means, scales):
     if not ((w >= 0) & (w < np.inf)).all():
         raise ContractViolation("mixture weights must be finite and nonnegative")
     return w, mu, sd
-
-
-@lru_cache(maxsize=8)
-def _edge_tables(grid: SymbolGrid):
-    """Read-only bin edges of grid and the step rows that fill a windowed
-    table outside its windows: row k is 0.0 before edge k and 1.0 from it
-    on, for k = 0 ... n with n = edges.size.
-
-    The n + 1 rows are windows of one ramp of n zeros then n ones: row k
-    is ramp[n - k : 2n - k], so they cost 2n floats, not (n + 1)·n.
-    Indexing them with an integer array copies the rows into a fresh
-    C-contiguous array, which callers may write to. The rows themselves
-    overlap in memory, so a write through one would change every row that
-    shares the ramp; sliding_window_view makes them read-only.
-    """
-    edges = grid.edges()
-    n = edges.size
-    ramp = np.repeat([0.0, 1.0], n)
-    steps = np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1]
-    edges.flags.writeable = False
-    return edges, steps
 
 
 def _bin_masses(cdf: np.ndarray) -> np.ndarray:
@@ -194,7 +188,9 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     either grid), each block into its slice of one [R, n_symbols] result.
     So the working set is the result plus one block's [rows, K, n+1]
     float64 table (at most 512 KiB, unless one row alone is larger) and the
-    gather's index arrays, whatever R is.
+    gather's index arrays, whatever R is. The grid supplies the bin edges
+    and the step rows that fill each window's tails (SymbolGrid), so a call
+    builds no grid-sized table.
 
     Each block takes one of two branches. When the windows cover less than
     half of its edges, the live edges of all its components are gathered
@@ -205,7 +201,7 @@ def gmm_pmf_table(weights, means, scales, grid: SymbolGrid) -> np.ndarray:
     edge take the prefill's values outside it.
     """
     w, mu, sd = _mixture(weights, means, scales)
-    edges, steps = _edge_tables(grid)
+    edges, steps = grid.edges, grid.step_rows
     k = mu.shape[-1]
     shape = mu.shape[:-1] + (grid.n_symbols,)
     w, mu, sd = w.reshape(-1, k), mu.reshape(-1, k), sd.reshape(-1, k)
@@ -303,7 +299,7 @@ class FactorizedPrior:
 
     def pmf_table(self, grid: SymbolGrid) -> np.ndarray:
         """Per-channel pmf over the full support, tails absorbed. [C, n]"""
-        edges = grid.edges()  # [n+1]
+        edges = grid.edges  # [n+1]
         with T.no_grad():
             cdf = self.cdf(np.broadcast_to(edges[:, None], (edges.size, self.channels))).data
         np.maximum.accumulate(cdf, axis=0, out=cdf)  # so no mass is negative

@@ -1,6 +1,7 @@
 """Entropy model tests: pmf normalization, erf oracle, CDF quantization,
 quantizers, determinization lattices."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -66,7 +67,7 @@ def _gmm_pmf_table_full(weights, means, scales, grid):
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     sd = np.asarray(scales, dtype=np.float64)
-    edges = grid.edges()
+    edges = grid.edges
     z = (edges - mu[..., None]) / sd[..., None]  # [..., K, n+1]
     cdf = np.where(edges < (mu - E.TAIL_Z * sd)[..., None], 0.0, ndtr(z))
     cdf[edges >= (mu + E.TAIL_Z * sd)[..., None]] = 1.0
@@ -118,7 +119,7 @@ def mixture_batches(draw):
     on a bin edge, for Z = -TAIL_Z or TAIL_Z (a window bound) or an ndtr
     saturation point, up to 2 ulps either side."""
     grid = draw(st.sampled_from([E.PIXEL_GRID, E.LATENT_GRID]))
-    edges = grid.edges()
+    edges = grid.edges
     k = draw(st.integers(1, 4))
     n_rows = draw(st.integers(1, 5))
     mu = np.empty((n_rows, k))
@@ -183,7 +184,7 @@ class TestGmmPmfTableOracle:
     def test_window_bound_on_edge(self, grid, z):
         # mu + z*sd on a bin edge, and 1 and 2 ulps of mu either side of it;
         # each scale is its own call, so the narrow ones take the gather
-        edges = grid.edges()
+        edges = grid.edges
         on_edge = 0
         for scale in (E.SCALE_FLOOR, 2.0 ** -10, 0.37, grid.span / 7):
             mu = np.array([ulp_neighbours(e - z * scale) for e in edges])
@@ -195,7 +196,7 @@ class TestGmmPmfTableOracle:
     @pytest.mark.parametrize("scale", [1e-17, 1e-300, 5e-324])
     def test_tiny_scales(self, grid, scale):
         # mu + Z*sd rounds to mu: edges on mu and 1-2 ulps from it
-        edges = grid.edges()
+        edges = grid.edges
         mu = np.array([ulp_neighbours(e) for e in edges[::17]])
         self.assert_same(np.ones(mu.shape), mu, np.full(mu.shape, scale), grid)
 
@@ -298,13 +299,11 @@ class TestGmmPmfTableOracle:
 
 class TestTableBuffers:
     """gmm_pmf_table holds its result and one block-sized table buffer per
-    call, whatever the batch size, and no grid-sized state; _bin_masses
-    takes the differences in that buffer."""
+    call, whatever the batch size; the grid supplies the edges and step
+    rows, and _bin_masses takes the differences in that buffer."""
 
-    @pytest.mark.parametrize(
-        ("gathered", "cold"), [(False, False), (True, False), (False, True), (True, True)],
-        ids=["dense", "gathered", "dense-cold", "gathered-cold"])
-    def test_one_table_buffer_per_call(self, gathered, cold, ndtr_shapes, rng):
+    @pytest.mark.parametrize("gathered", [False, True], ids=["dense", "gathered"])
+    def test_one_block_buffer_per_call(self, gathered, ndtr_shapes, rng):
         grid = E.LATENT_GRID
         n_edges = grid.n_symbols + 1
         block = E._BLOCK_ENTRIES // (3 * n_edges)  # 85 rows
@@ -314,9 +313,6 @@ class TestTableBuffers:
         for locations in (6, 64):
             w, mu, sd = random_gmm_params(rng, (locations, 32), 3, grid)
             sd[:] = E.SCALE_FLOOR if gathered else grid.span
-            E.gmm_pmf_table(w, mu, sd, grid)  # fills the edge-table cache
-            if cold:  # the measured call builds the edge tables too
-                E._edge_tables.cache_clear()
             ndtr_shapes.clear()
             tracemalloc.start()
             try:
@@ -332,8 +328,8 @@ class TestTableBuffers:
     def test_step_rows_share_one_ramp(self, grid):
         # the step rows are the upper-triangular ones matrix, read-only and
         # laid over at most 2n floats: O(n) memory per grid, not O(n^2)
-        edges, steps = E._edge_tables(grid)
-        n = edges.size
+        steps = grid.step_rows
+        n = grid.edges.size
         np.testing.assert_array_equal(steps, np.triu(np.ones((n + 1, n))))
         assert steps.dtype == np.float64
         assert not steps.flags.writeable
@@ -531,7 +527,7 @@ class TestFactorizedPrior:
                 *([rng.normal(scale=2, size=c) for _ in range(3)] for _ in "hba"))
             v = rng.normal(scale=10.0 ** rng.uniform(-1, 3), size=(int(rng.integers(1, 300)), c))
             np.testing.assert_array_equal(prior.cdf(v).data, _prior_ref(prior, v))
-            edges = np.broadcast_to(E.LATENT_GRID.edges()[:, None], (256, c))
+            edges = np.broadcast_to(E.LATENT_GRID.edges[:, None], (256, c))
             np.testing.assert_array_equal(prior.cdf(edges).data, _prior_ref(prior, edges))
 
     def test_fresh_prior_is_broad(self):
@@ -1247,9 +1243,34 @@ class TestSymbolGrid:
         assert E.LATENT_GRID.n_symbols == 255
 
     def test_edges(self):
-        edges = E.LATENT_GRID.edges()
+        edges = E.LATENT_GRID.edges
         assert edges[0] == -127.5 and edges[-1] == 127.5
         assert edges.size == 256
+
+    @pytest.mark.parametrize("grid", [
+        E.PIXEL_GRID, E.LATENT_GRID, dataclasses.replace(E.LATENT_GRID, lo_value=-100.0)],
+        ids=["pixel", "latent", "replaced"])
+    def test_tables_built_once(self, grid):
+        # read-only, one object each per grid, and the same floats as the
+        # formula value(s) - step/2 over s = lo ... hi + 1
+        s = np.arange(grid.lo, grid.hi + 2, dtype=np.float64)
+        formula = grid.lo_value + (s - grid.lo) * grid.step_norm - grid.step_norm / 2.0
+        n = grid.n_symbols + 1
+        assert grid.edges.tobytes() == formula.tobytes()
+        np.testing.assert_array_equal(grid.step_rows, np.triu(np.ones((n + 1, n))))
+        for table in (grid.edges, grid.step_rows):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
+        assert grid.edges is grid.edges and grid.step_rows is grid.step_rows
+        # replace builds new tables; equality, hashing and repr see the four
+        # parameters only
+        again = dataclasses.replace(grid)
+        assert again.edges is not grid.edges and again.step_rows is not grid.step_rows
+        assert again.edges.tobytes() == grid.edges.tobytes()
+        assert again == grid and hash(again) == hash(grid) and repr(again) == repr(grid)
+        assert repr(grid) == (f"SymbolGrid(lo={grid.lo}, hi={grid.hi}, "
+                              f"step_norm={grid.step_norm}, lo_value={grid.lo_value})")
 
     def test_invalid_grid(self):
         with pytest.raises(ContractViolation):
