@@ -1,6 +1,7 @@
 """The codec network: analysis/synthesis transforms, hyper transforms,
-simplified attention, the two causal context models, and the parameter
-heads that emit Gaussian-mixture parameters for latents and pixels.
+simplified attention, the two causal context models, the parameter heads
+that emit Gaussian-mixture parameters for latents and pixels, and the rate
+`log_masses` of the coded values under them, which training minimizes.
 Activations are channel-last, [B, H, W, C], from the image to the heads'
 [B, h, w, C, K] mixture parameters; conv weights are [Cout, Cin, k, k].
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .entropy import SCALE_FLOOR, FactorizedPrior
+from .entropy import LATENT_GRID, PIXEL_GRID, SCALE_FLOOR, FactorizedPrior, SymbolGrid
 from .errors import ConfigError, ContractViolation, IntegrityError, TruncationError
 from .tensor import Tensor
 
@@ -368,6 +369,34 @@ class Model:
         p = T.reshape(raw, raw.shape[:-1] + (3, -1, self.config.mixtures_k))
         logits, means, raw_scales = (T.select(p, i, axis=-3) for i in range(3))
         return T.softmax(logits), means, T.add(T.softplus(raw_scales), SCALE_FLOOR)
+
+
+def log_masses(model: Model, x: Tensor, y: Tensor, z: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """The rate: (z_term, y_term, x_term), each the sum of the natural log
+    of the coded values' masses, each value over its grid's bin. z is under
+    the prior on z ± 1/2, y under its head on y ± LATENT_GRID.step_norm/2,
+    x (the normalized image `analysis` takes) under its head on x ±
+    PIXEL_GRID.step_norm/2. A training loss is -(z_term + y_term + x_term).
+    Left to the trainer: the ±TAIL_Z windows, the end bins' tails, the
+    PMF_EPS floor, and noisy ỹ and z̃. A mass that underflows gives -inf."""
+    half = LATENT_GRID.step_norm / 2
+    z_term = T.reduce_sum(T.log(T.sub(model.prior.cdf(T.add(z, half)),
+                                      model.prior.cdf(T.sub(z, half)))))
+    hyper, pixel = model.hyper_synthesis(z), model.synthesis(y)
+    y_term = T.reduce_sum(_mixture_log_masses(model.entropy_params_y(hyper, y), y, LATENT_GRID))
+    x_term = T.reduce_sum(_mixture_log_masses(model.entropy_params_x(pixel, x), x, PIXEL_GRID))
+    return z_term, y_term, x_term
+
+
+def _mixture_log_masses(params, v: Tensor, grid: SymbolGrid) -> Tensor:
+    """Log of the mass of a head's mixture (weights, means, scales), each
+    [..., C, K], on v ± grid.step_norm/2 for every value of v [..., C]."""
+    weights, means, scales = params
+    if v.shape != means.shape[:-1]:
+        raise ContractViolation(f"values of shape {v.shape} for mixtures of shape {means.shape}")
+    v, half = T.reshape(v, v.shape + (1,)), grid.step_norm / 2
+    lo, hi = (T.normal_cdf(T.div(T.sub(T.add(v, d), means), scales)) for d in (-half, half))
+    return T.log(T.reduce_sum(T.mul(weights, T.sub(hi, lo)), axis=-1))
 
 
 # ---------------------------------------------------------------------------

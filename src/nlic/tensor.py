@@ -9,7 +9,9 @@ weight layout is [Cout, Cin, k, k]. Every op is a primitive with its own
 VJP; the layers are built over them: the context models' mask-A conv over
 ``conv2d``, ``mul`` and ``causal_mask``, and the sub-pixel upsampler over
 ``conv2d`` and the layout op ``depth_to_space``, which moves four channel
-groups into a 2x2 block of pixels. A dynamic graph is recorded per
+groups into a 2x2 block of pixels. The loss ops ``sub``, ``div``,
+``normal_cdf``, ``log`` and ``reduce_sum`` serve the rate,
+``network.log_masses``. A dynamic graph is recorded per
 forward pass; ``backward()`` on a scalar loss walks it once in reverse
 topological order and then releases it, so a second backward without a new
 forward raises.

@@ -1,6 +1,8 @@
 """Network tests: shape chains, determinism, causality through the heads,
 the no_grad forward path, initialization contracts, ablation key sets,
-config text and weight serialization."""
+config text and weight serialization, and the rate `log_masses`: its
+masses against `gmm_pmf_table`, its gradients against finite differences,
+and the training step it drives, pinned."""
 
 import hashlib
 import struct
@@ -27,10 +29,12 @@ from nlic.network import (
     AttentionBlock,
     Model,
     ModelConfig,
+    _mixture_log_masses,
     _ParamStore,
     canonical_config_text,
     config_hash,
     deserialize_weights,
+    log_masses,
     parse_config_text,
     serialize_weights,
     weight_hash,
@@ -52,15 +56,6 @@ def assert_no_grad_matches_recording(run):
         assert r.requires_grad and r._parents
         assert not p.requires_grad and p._parents == () and p._backward is None
         assert np.array_equal(r.data, p.data)
-
-
-def mixture_log_mass(params, v):
-    """Sum over v [B, h, w, C] of the log of the mixture's mass on
-    [v - 1/2, v + 1/2]: the rate term of a training loss, negated."""
-    weights, means, scales = params
-    v = T.reshape(v, v.shape + (1,))
-    lo, hi = (T.normal_cdf(T.div(T.sub(T.add(v, d), means), scales)) for d in (-0.5, 0.5))
-    return T.reduce_sum(T.log(T.reduce_sum(T.mul(weights, T.sub(hi, lo)), axis=-1)))
 
 
 @pytest.fixture
@@ -689,29 +684,94 @@ class TestGradientFlow:
 
     # sha256 of the loss, then of every gradient in store order
     STEP_DIGESTS = {
-        True: ("d9987d3809728938b1913fc9793b65ff35aecdf0ab218ce8425d50e0856f97fc",
-               "be4e028de8365ca6e0f23385e0b9e3a3bc0e25b28a4505cbef0fb3581da8c742"),
-        False: ("54b81c9f12498bef251e229625a12d3f2dd0fe30b6e60e401bce3b7d19564c2c",
-                "a240509ce1a9afef62b82c9b7f35ce58ebbf5de6483ad134aeb40f03a0857d0f"),
+        True: ("eadd1a96a11b67f968bc66ec70135e054ebfbcc7fd26a079ffd6e45fa5ad246e",
+               "cb8b76c3e02c4b80dd116c29a32bd45d9a0b02758c329a7cb7f9b95ab828cf32"),
+        False: ("f6f1def33efb2e2519c418abbba38b31dc4226bc15ad6963b22ed2fa81470a81",
+                "6d47f131b8e52e9bea9bb79b8595daf57cadcbe25b28570d2938abafd1247f9d"),
     }
 
     @pytest.mark.parametrize("full", [True, False], ids=["default", "no-attention-no-context"])
     def test_step_gradients_pinned(self, full):
-        # one training step: the rates of x and y under their heads and of z
-        # under the prior, through every transform; all parameters get a
-        # gradient, bit for bit the same
+        # one training step on log_masses: the rates of x and y under their
+        # heads and of z under the prior, each value over its own grid's bin,
+        # through every transform; all parameters get a gradient, bit for
+        # bit the same
         m = Model(ModelConfig(filters_n=4, use_attention=full, use_context_x=full)).init_random(8)
         x = T.Tensor(channel_last(np.random.default_rng(18).normal(size=(1, 3, 16, 16))))
         y = m.analysis(x)
         z = m.hyper_analysis(y)
-        rate_z = T.reduce_sum(T.log(T.sub(m.prior.cdf(T.add(z, 0.5)),
-                                          m.prior.cdf(T.sub(z, 0.5)))))
-        log_mass = T.add(T.add(rate_z, mixture_log_mass(
-            m.entropy_params_y(m.hyper_synthesis(z), y), y)),
-            mixture_log_mass(m.entropy_params_x(m.synthesis(y), x), x))
-        loss = T.mul(log_mass, -1.0)
+        z_term, y_term, x_term = log_masses(m, x, y, z)
+        loss = T.mul(T.add(T.add(z_term, y_term), x_term), -1.0)
         loss.backward()
         assert all(t.grad is not None for t in m.params.values())
         grads = b"".join(t.grad.tobytes() for t in m.params.values())
         assert (hashlib.sha256(loss.data.tobytes()).hexdigest(),
                 hashlib.sha256(grads).hexdigest()) == self.STEP_DIGESTS[full]
+
+
+class TestLogMasses:
+    @pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID], ids=["pixel", "latent"])
+    def test_masses_match_pmf_table(self, grid, rng):
+        # at determinized parameters each row's mass at every interior
+        # symbol is its gmm_pmf_table entry; the end bins, which take the
+        # tails there, are left out. Where the table folds a component's
+        # tail to zero the mass keeps at most ndtr(-TAIL_Z) ~ 9.5e-18 of
+        # it, under atol; v ± step/2 and the grid's edges differ in their
+        # last bits in 29% of pixel bins, under rtol
+        rows, k = 400, 3
+        w = rng.dirichlet(np.ones(k), size=rows)
+        mu = rng.uniform(grid.value(grid.lo), grid.value(grid.hi), size=(rows, k))
+        sd = np.exp(rng.uniform(np.log(SCALE_FLOOR), np.log(grid.span), size=(rows, k)))
+        w, mu, sd = E.determinize(w, mu, sd, grid)
+        s = np.arange(grid.lo + 1, grid.hi)
+        shape = (rows, s.size, k)
+        params = [T.Tensor(np.broadcast_to(p[:, None], shape)) for p in (w, mu, sd)]
+        values = T.Tensor(np.broadcast_to(grid.value(s), shape[:-1]))
+        with T.no_grad(), np.errstate(divide="ignore"):  # far bins underflow to -inf
+            masses = np.exp(_mixture_log_masses(params, values, grid).data)
+        np.testing.assert_allclose(masses, E.gmm_pmf_table(w, mu, sd, grid)[:, 1:-1],
+                                   rtol=1e-9, atol=1e-17)
+
+    @pytest.mark.parametrize("term", [0, 1, 2], ids=["z", "y", "x"])
+    def test_gradient(self, term, rng, kink_guard):
+        # each term against finite differences in every 5th y entry and
+        # every z entry; a term that does not read y or z has no gradient
+        # there, and its differences are zero. The x term sums 768 logs to
+        # about -4,500, so its differences carry rounding near 2e-5 of the
+        # largest gradient; the z and y terms agree to 2e-7
+        m = Model(ModelConfig(filters_n=4, mixtures_k=1, use_attention=False)).init_random(4)
+        x = T.Tensor(channel_last(rng.normal(scale=0.5, size=(1, 3, 16, 16))))
+        y_data = rng.normal(size=(1, 4, 4, 4))
+        z_data = rng.normal(scale=3.0, size=(1, 1, 1, 4))
+        picked = np.arange(0, y_data.size, 5)
+        y, z = T.Tensor(y_data, requires_grad=True), T.Tensor(z_data, requires_grad=True)
+        log_masses(m, x, y, z)[term].backward()
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in (y, z)]
+
+        def fn(y_picked, z_values):
+            y_values = y_data.copy()
+            y_values.reshape(-1)[picked] = y_picked
+            return log_masses(m, x, T.Tensor(y_values), T.Tensor(z_values))[term].item()
+
+        fd = finite_difference(fn, [y_data.reshape(-1)[picked], z_data.copy()], kink_guard)
+        assert rel_err(grads[0].reshape(-1)[picked], fd[0]) < 1e-4
+        assert rel_err(grads[1], fd[1]) < 1e-4
+
+    def test_no_grad_matches_recording(self, model, rng):
+        x = T.Tensor(channel_last(rng.normal(size=(1, 3, 16, 16))))
+        y = T.Tensor(channel_last(rng.normal(size=(1, 8, 4, 4))))
+        z = T.Tensor(channel_last(rng.normal(size=(1, 8, 1, 1))))
+        assert_no_grad_matches_recording(lambda: log_masses(model, x, y, z))
+
+    @pytest.mark.parametrize("use_context_x, message", [
+        (True, "spatial mismatch"), (False, "values of shape")], ids=["context", "no-context"])
+    @pytest.mark.parametrize("x_shape", [(1, 1, 1, 3), (1, 16, 1, 3)], ids=["1x1", "16x1"])
+    def test_mis_sized_x_rejected(self, use_context_x, message, x_shape, rng):
+        # without the pixel context nothing else reads x, which would
+        # broadcast against the 16x16 heads into a 16x16 rate
+        m = Model(ModelConfig(filters_n=8, mixtures_k=2,
+                              use_context_x=use_context_x)).init_random(3)
+        y = T.Tensor(channel_last(rng.normal(size=(1, 8, 4, 4))))
+        z = T.Tensor(channel_last(rng.normal(size=(1, 8, 1, 1))))
+        with pytest.raises(ContractViolation, match=message):
+            log_masses(m, T.Tensor(rng.normal(size=x_shape)), y, z)
