@@ -776,23 +776,21 @@ class TestDeterminizeReference:
         self.assert_same(*batch)
 
 
-# rows of counts that return a table, each named for the exit the former
-# floor-and-repair build_cdf took for it: the add-one rule takes one path for
-# all of them, and they stay as rows of distinct shapes (no empty bin, one
-# bin, runs of empty bins, tied bins), with the all-zero row added
+# rows of counts that return a table, each named for its shape: no empty bin,
+# one bin, runs of empty bins at the ends, a run inside, tied bins, all zero
 TABLE_ROWS = [
     ([16384] * 4, "no-empty"),
-    ([0, 65536, 0, 0], "constant-time"),
-    ([0, 20000, 30000, 15536, 0, 0], "neighbour-bound"),
-    ([0, 30000, 0, 0, 20000, 15536], "full-maximum"),
-    ([30000, 0, 30000, 5536], "sort"),
+    ([0, 65536, 0, 0], "one-bin"),
+    ([0, 20000, 30000, 15536, 0, 0], "empty-runs-at-ends"),
+    ([0, 30000, 0, 0, 20000, 15536], "empty-run-inside"),
+    ([30000, 0, 30000, 5536], "tied-bins"),
     ([0] * 4, "all-zero"),
 ]
 
 # rows that raise, with the check that catches them
 RAISING_ROWS = [
-    ([0, 39321, 32768, -6553], "negative-constant-time"),
-    ([30000, 30000, 5537, -1], "negative-sort"),
+    ([0, 39321, 32768, -6553], "negative-last-above-half"),
+    ([30000, 30000, 5537, -1], "negative-last-tied"),
     ([0, math.nan, 65536], "nan"),
     ([0, math.inf, 0], "entry-above-one"),
     ([39322] * 3, "total-above-one"),
@@ -1098,7 +1096,7 @@ class TestBuildCdfOracle:
         assert np.abs(coded - share).max() < 1.0
         return coded
 
-    @pytest.mark.parametrize("counts, repaired", [
+    @pytest.mark.parametrize("counts, coded", [
         # n = 2, either side empty
         ([0, 65536], [1, 65535]),
         ([65536, 0], [65535, 1]),
@@ -1108,9 +1106,9 @@ class TestBuildCdfOracle:
         # three empty bins between and after two tied bins
         ([0, 30768, 0, 30768, 4000, 0], [1, 30766, 1, 30766, 4001, 1]),
     ])
-    def test_ties_and_remainder(self, counts, repaired):
-        # repaired: the coded counts, every empty bin holding its one unit
-        np.testing.assert_array_equal(self.assert_count_row(counts), repaired)
+    def test_ties_and_remainder(self, counts, coded):
+        # coded: the counts the add-one rule gives, every empty bin holding its one unit
+        np.testing.assert_array_equal(self.assert_count_row(counts), coded)
 
     @pytest.mark.parametrize("counts", [
         [0, 30003, 0, 30000, 5533, 0],
@@ -1174,7 +1172,7 @@ class TestBuildCdfOracle:
 
     @pytest.mark.parametrize("counts", [[0, 32769, 32769, -2], [-1, 32769, 0, 32768]],
                              ids=["tied-top", "second-above-top-E"])
-    def test_negative_entry_meeting_constant_time_test(self, counts):
+    def test_negative_entry_beside_half_bins(self, counts):
         # two bins at or just above 2^15 and a small negative count: the
         # total is one and no entry is above one
         assert sum(counts) == E.CDF_TOTAL
@@ -1184,7 +1182,7 @@ class TestBuildCdfOracle:
     @pytest.mark.parametrize("counts", [[0, 20000, 30000, 15537, -1, 0],
                                         [0, 2768, 30001, 2768, 30000, -1]],
                              ids=["R-negative", "second-above-top-E"])
-    def test_negative_entry_meeting_neighbour_bound(self, counts):
+    def test_negative_entry_beside_empty_or_last(self, counts):
         # a count of -1 beside an empty bin or at the end of the row: the
         # cumulative still ends at one
         assert sum(counts) == E.CDF_TOTAL
@@ -1192,7 +1190,7 @@ class TestBuildCdfOracle:
             E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
     @pytest.mark.parametrize("counts, name", TABLE_ROWS, ids=[name for _, name in TABLE_ROWS])
-    def test_every_exit_returns_native_uint32(self, counts, name):
+    def test_every_row_returns_native_uint32(self, counts, name):
         # RangeDecoder.decode_symbol reads the table through one memoryview
         pmf = np.array(counts) / E.CDF_TOTAL
         got = E.build_cdf(pmf)
