@@ -127,19 +127,18 @@ class RangeDecoder:
 
         cdf must be a 1-D integer ndarray in native byte order, of any
         stride: it is read through one memoryview, searched with
-        bisect.bisect_right. Raises IntegrityError where the code leaves
-        the table's r * total: an encoder's code never does, so the bytes
-        are not a stream coded under this table sequence.
+        bisect.bisect_right. Raises IntegrityError where the code falls
+        below r * cdf[0] or at or above r * cdf[-1]: an encoder's code never
+        does, so the bytes are not a stream coded under this table sequence.
         """
         table = memoryview(cdf)
         r = self._range >> CDF_PRECISION
         code = self._code
-        target = code // r
-        if target >= table[-1]:
+        # greatest s with cdf[s] <= code // r
+        symbol = bisect_right(table, code // r) - 1
+        if not 0 <= symbol < len(table) - 1:
             raise IntegrityError(
                 f"code outside the coded interval before byte {self._pos}")
-        # greatest s with cdf[s] <= target
-        symbol = bisect_right(table, target) - 1
         cum_lo = table[symbol]
         code -= r * cum_lo
         width = r * (table[symbol + 1] - cum_lo)
@@ -204,6 +203,26 @@ def _read_varints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
     return values, pos
 
 
+def seal(body) -> bytes:
+    """body followed by its crc32 as a little-endian u32: the trailer of
+    both the container and the weights file."""
+    return b"".join((body, struct.pack("<I", zlib.crc32(body))))
+
+
+def check_seal(data, declared: int, what: str) -> None:
+    """Raises TruncationError if data is shorter than declared, else
+    IntegrityError if it is longer or its trailer is not the crc32 of the
+    bytes before it. Length goes first: a cut-off file reads as truncated."""
+    if declared != len(data):
+        error = TruncationError if declared > len(data) else IntegrityError
+        raise error(f"{what} declares {declared} bytes, got {len(data)}")
+    (stored,) = struct.unpack_from("<I", data, len(data) - 4)
+    actual = zlib.crc32(memoryview(data)[:-4])
+    if stored != actual:
+        raise IntegrityError(
+            f"{what} CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
+
+
 def write_container(header: ContainerHeader, seg_z: bytes, seg_y: bytes,
                     seg_x: bytes) -> bytes:
     if len(header.config_hash) != 32 or len(header.weight_hash) != 32:
@@ -229,8 +248,7 @@ def write_container(header: ContainerHeader, seg_z: bytes, seg_y: bytes,
     buf += seg_z
     buf += seg_y
     buf += seg_x
-    buf += struct.pack("<I", zlib.crc32(buf))
-    return bytes(buf)
+    return seal(buf)
 
 
 def read_container(data: bytes):
@@ -249,17 +267,7 @@ def read_container(data: bytes):
         raise TruncationError(f"container of {len(data)} bytes cut inside the hashes")
     config_hash, weight_hash = data[off:off + 32], data[off + 32:off + 64]
     lengths, off = _read_varints(data, off + 64, 3)
-    # lengths before the CRC: a cut-off container must read as truncated,
-    # not as corrupt
-    declared = off + sum(lengths) + 4
-    if declared != len(data):
-        error = TruncationError if declared > len(data) else IntegrityError
-        raise error(f"segment lengths declare {declared} bytes, container has {len(data)}")
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    actual_crc = zlib.crc32(data[:-4])
-    if stored_crc != actual_crc:
-        raise IntegrityError(
-            f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}")
+    check_seal(data, off + sum(lengths) + 4, "container")
     segments = []
     for n in lengths:
         segments.append(data[off:off + n])

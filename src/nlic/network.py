@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
+from .coder import check_seal, seal
 from .entropy import LATENT_GRID, PIXEL_GRID, SCALE_FLOOR, FactorizedPrior, SymbolGrid
 from .errors import ConfigError, ContractViolation, IntegrityError, TruncationError
 from .tensor import Tensor
@@ -418,8 +419,7 @@ def serialize_weights(model: Model) -> bytes:
     out = bytearray(WEIGHTS_MAGIC + struct.pack("<I", len(config_text)) + config_text)
     for arr in model.state().values():
         out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    out += struct.pack("<I", zlib.crc32(out))
-    return bytes(out)
+    return seal(out)
 
 
 def deserialize_weights(blob: bytes) -> Model:
@@ -439,13 +439,7 @@ def deserialize_weights(blob: bytes) -> Model:
     except UnicodeDecodeError as e:
         raise ConfigError(f"weights config text is not UTF-8: {e}") from None
     sizes = [t.data.size for t in model.params.values()]
-    declared = 8 + cfg_len + 8 * sum(sizes) + 4
-    if declared != len(blob):
-        error = TruncationError if declared > len(blob) else IntegrityError
-        raise error(f"config declares a {declared}-byte weights file, got {len(blob)} bytes")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if stored_crc != zlib.crc32(memoryview(blob)[:-4]):
-        raise IntegrityError(f"weights CRC mismatch: stored {stored_crc:#010x}")
+    check_seal(blob, 8 + cfg_len + 8 * sum(sizes) + 4, "weights file")
     values = np.frombuffer(blob, dtype="<f8", count=sum(sizes),
                            offset=8 + cfg_len).astype(np.float64)
     for t, arr in zip(model.params.values(), np.split(values, np.cumsum(sizes)[:-1])):

@@ -280,11 +280,6 @@ def softplus(t: Tensor) -> Tensor:
     return _make(np.logaddexp(0.0, t.data), (t, lambda g: g * _logistic(t.data)))
 
 
-def square(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    return _make(t.data * t.data, (t, lambda g: g * 2.0 * t.data))
-
-
 def normal_cdf(t: Tensor) -> Tensor:
     """Standard normal cumulative Phi(x); backward is the normal pdf."""
     t = _as_tensor(t)

@@ -183,6 +183,15 @@ class TestRangeCoderRoundTrip:
         with pytest.raises(IntegrityError, match="outside"):
             dec.decode_symbol(cdf)
 
+    def test_code_below_table_raises(self):
+        # the target 0 lies below cdf[0] = 100, so no bin holds it; taken
+        # as symbol -1, its negative width read on to the end of the stream
+        dec = RangeDecoder(bytes([0, 0, 0, 0, 0xFF, 0xFF, 0xFF]))
+        with pytest.raises(IntegrityError,
+                           match="^code outside the coded interval before byte 4$") as info:
+            dec.decode_symbol(np.array([100, 30000, E.CDF_TOTAL]))
+        assert not isinstance(info.value, TruncationError)
+
 
 class OracleEncoder:
     """Reference encoder: the coder's interval arithmetic with an unbounded

@@ -380,11 +380,13 @@ class TestAttention:
         assert out.shape == x.shape
 
         tensors = [T.Tensor(x, requires_grad=True)]
-        loss = T.reduce_sum(T.square(attn(tensors[0])))
+        h = attn(tensors[0])
+        loss = T.reduce_sum(T.mul(h, h))
         loss.backward()
 
         def scalar_fn(arr):
-            return T.reduce_sum(T.square(attn(T.Tensor(arr)))).item()
+            h = attn(T.Tensor(arr))
+            return T.reduce_sum(T.mul(h, h)).item()
 
         fd = finite_difference(scalar_fn, [x.copy()], kink_guard)
         assert rel_err(tensors[0].grad, fd[0]) < 1e-4
@@ -632,7 +634,7 @@ class TestGradientFlow:
 
         def fn(y):
             hf = m.hyper_synthesis(m.hyper_analysis(y))
-            return T.reduce_sum(T.square(hf))
+            return T.reduce_sum(T.mul(hf, hf))
 
         yt = T.Tensor(y_data, requires_grad=True)
         fn(yt).backward()
@@ -653,7 +655,8 @@ class TestGradientFlow:
         for _ in range(2):
             for t in m.params.values():
                 t.grad = None
-            T.reduce_sum(T.square(m.synthesis(m.analysis(x)))).backward()
+            h = m.synthesis(m.analysis(x))
+            T.reduce_sum(T.mul(h, h)).backward()
             grads.append({k: t.grad for k, t in m.params.items() if t.grad is not None})
         assert grads[0] and grads[0].keys() == grads[1].keys()
         for k in grads[0]:
@@ -665,7 +668,8 @@ class TestGradientFlow:
         x_data = rng.normal(size=(1, 3, 16, 16)) * 0.5  # moved channel-last in fn
 
         def fn(x):
-            return T.reduce_sum(T.square(m.synthesis(m.analysis(x))))
+            h = m.synthesis(m.analysis(x))
+            return T.reduce_sum(T.mul(h, h))
 
         xt = T.Tensor(channel_last(x_data), requires_grad=True)
         fn(xt).backward()

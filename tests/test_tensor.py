@@ -235,7 +235,8 @@ class TestConv2d:
         b = rng.normal(size=2)
 
         def fn(xt, wt, bt):
-            return T.reduce_sum(T.square(T.conv2d(xt, wt, bt, stride=2)))
+            h = T.conv2d(xt, wt, bt, stride=2)
+            return T.reduce_sum(T.mul(h, h))
 
         check_grads(fn, [x, w, b], kink_guard)
 
@@ -265,7 +266,8 @@ class TestDepthToSpace:
         ramp = np.linspace(0.5, 1.5, x.size).reshape(2, 4, 6, 2)
 
         def fn(a):
-            return T.reduce_sum(T.mul(T.square(T.depth_to_space(a)), ramp))
+            h = T.depth_to_space(a)
+            return T.reduce_sum(T.mul(T.mul(h, h), ramp))
 
         check_grads(fn, [x], kink_guard)
 
@@ -373,7 +375,8 @@ class TestMaskedConv:
         x = channel_last(rng.normal(size=(1, 2, 6, 6)))
         w = T.Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
         b = T.Tensor(rng.normal(size=2), requires_grad=True)
-        loss = T.reduce_sum(T.square(masked_conv(T.Tensor(x), w, b)))
+        h = masked_conv(T.Tensor(x), w, b)
+        loss = T.reduce_sum(T.mul(h, h))
         loss.backward()
         mask = T.causal_mask(5)
         assert np.array_equal(w.grad * (1 - mask), np.zeros_like(w.grad))
@@ -386,7 +389,8 @@ class TestMaskedConv:
         b = rng.normal(size=2)
 
         def fn(xt, wt, bt):
-            return T.reduce_sum(T.square(masked_conv(xt, wt, bt)))
+            h = masked_conv(xt, wt, bt)
+            return T.reduce_sum(T.mul(h, h))
 
         check_grads(fn, [x, w, b], kink_guard)
 
@@ -404,7 +408,7 @@ class TestElementwise:
         np.testing.assert_allclose(out.data, [-0.2, 2.0])
 
     @pytest.mark.parametrize("op", ["add", "mul", "sub", "div", "leaky_relu", "sigmoid",
-                                    "softplus", "log", "square", "tanh",
+                                    "softplus", "log", "tanh",
                                     "normal_cdf", "clamp_min"])
     def test_gradients_each_op(self, rng, op, kink_guard):
         x = rng.normal(size=(2, 3, 4, 4))
@@ -416,7 +420,8 @@ class TestElementwise:
         binary = {"add": T.add, "mul": T.mul, "sub": T.sub, "div": T.div}
         if op in binary:
             def fn(a, b2):
-                return T.reduce_sum(T.square(binary[op](a, b2)))
+                h = binary[op](a, b2)
+                return T.reduce_sum(T.mul(h, h))
             check_grads(fn, [x, y], kink_guard)
         else:
             # a positive bound: the square's gradient at a clamped element is
@@ -425,7 +430,8 @@ class TestElementwise:
             unary = (lambda a: T.clamp_min(a, 0.1)) if op == "clamp_min" else getattr(T, op)
 
             def fn(a):
-                return T.reduce_sum(T.square(unary(a)))
+                h = unary(a)
+                return T.reduce_sum(T.mul(h, h))
             check_grads(fn, [x], kink_guard)
 
     def test_bias_broadcast_gradient(self, rng, kink_guard):
@@ -433,7 +439,8 @@ class TestElementwise:
         bias = rng.normal(size=(1, 3, 1, 1))
 
         def fn(a, b2):
-            return T.reduce_sum(T.square(T.add(a, b2)))
+            h = T.add(a, b2)
+            return T.reduce_sum(T.mul(h, h))
 
         check_grads(fn, [x, bias], kink_guard)
 
@@ -499,7 +506,7 @@ class TestShapeOps:
         def fn(a):
             r = T.reshape(a, (2, 2, 2, 3, 2, 2))
             parts = [T.select(r, i, axis=-3) for i in range(3)]
-            return T.reduce_sum(T.mul(T.square(parts[0]), T.add(parts[1], parts[2])))
+            return T.reduce_sum(T.mul(T.mul(parts[0], parts[0]), T.add(parts[1], parts[2])))
 
         check_grads(fn, [x], kink_guard)
 
@@ -524,7 +531,8 @@ class TestShapeOps:
         x = rng.normal(size=(2, 3, 4))
 
         def fn(a):
-            return T.reduce_sum(T.square(T.reduce_sum(a, axis=1)))
+            h = T.reduce_sum(a, axis=1)
+            return T.reduce_sum(T.mul(h, h))
 
         check_grads(fn, [x], kink_guard)
 
@@ -538,7 +546,7 @@ class TestBackward:
     def test_sum_of_squares_gradient(self, rng):
         data = rng.normal(size=(3, 4))
         x = T.Tensor(data, requires_grad=True)
-        T.reduce_sum(T.square(x)).backward()
+        T.reduce_sum(T.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * data)
 
     def test_composite_conv_relu_sum(self, rng, kink_guard):
@@ -554,11 +562,11 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self, rng):
         x = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         with pytest.raises(ContractViolation, match="scalar"):
-            T.square(x).backward()
+            T.mul(x, x).backward()
 
     def test_second_backward_rejected(self, rng):
         x = T.Tensor(rng.normal(size=3), requires_grad=True)
-        loss = T.reduce_sum(T.square(x))
+        loss = T.reduce_sum(T.mul(x, x))
         loss.backward()
         with pytest.raises(ContractViolation, match="consumed by a prior backward"):
             loss.backward()
@@ -612,7 +620,8 @@ class TestConstantInputs:
 
         def grads(const_index):
             ts = [T.Tensor(a, requires_grad=i != const_index) for i, a in enumerate(arrays)]
-            T.reduce_sum(T.square(fn(*ts))).backward()
+            h = fn(*ts)
+            T.reduce_sum(T.mul(h, h)).backward()
             return [t.grad for t in ts]
 
         full, mixed = grads(None), grads(const)
@@ -636,7 +645,8 @@ class TestConstantInputs:
             calls.clear()
             x = T.Tensor(channel_last(rng.normal(size=(2, 3, 6, 6))),
                          requires_grad=x_requires_grad)
-            T.reduce_sum(T.square(T.conv2d(x, w, b))).backward()
+            h = T.conv2d(x, w, b)
+            T.reduce_sum(T.mul(h, h)).backward()
             assert len(calls) == expected
             assert w.grad is not None
             w.grad = None
@@ -726,7 +736,7 @@ class TestGradientSuiteRandomized:
             h = T.conv2d(xt, wt, bt)
             h = T.leaky_relu(h)
             h = T.sigmoid(h)
-            return T.reduce_sum(T.square(h))
+            return T.reduce_sum(T.mul(h, h))
 
         check_grads(fn, [x, w, b], kink_guard)
 
