@@ -27,7 +27,10 @@ the last, at most 5 bytes and no trailing zero group.
     segment z | segment y | segment x
     crc32 of everything above               u32 little-endian (poly 0xEDB88320, reflected)
 
-A 16x16 image takes 7 varint bytes, so its header and CRC are 80 bytes.
+Header and CRC take 80 bytes at the least, one byte for each of the 7
+varints: a 16x16 image whose three segments are each under 128 bytes takes
+exactly that. A varint takes a second byte from 128 and a third from 2^14,
+so each segment of 128 to 16,383 bytes adds one byte.
 Version 4 has the layout of version 3; each component's tails beyond
 mu ± 8.5 sd fold into its window (entropy.gmm_pmf_table), so the same
 symbols can code to other bytes. Version 3 has the layout of version 2; its

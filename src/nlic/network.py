@@ -15,9 +15,12 @@ threads; training is single-writer.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -108,33 +111,48 @@ def config_hash(config: ModelConfig) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _fan_in_uniform(rng, shape, gain=1.0):
+    """U(±gain·√(3/fan_in)) over a conv weight [Cout, Cin, k, k], whose
+    fan_in is Cin·k·k."""
+    bound = gain * np.sqrt(3.0 / math.prod(shape[1:]))
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def _prior_slope(rng, shape):
+    return np.full(shape, FactorizedPrior.INIT_RAW_SLOPE)
+
+
 class _ParamStore:
     """Ordered name -> Tensor map; the key set is a pure function of config.
 
-    Next to each parameter the store keeps its init spec `(kind, fan_in)`
-    under the same name in `specs`; `Model.init_random` reads it from there.
+    Next to each parameter the store keeps its initializer
+    `init(rng, shape) -> ndarray` under the same name in `inits`;
+    `Model.init_random` calls it.
     """
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
-        self.specs: dict[str, tuple[str, int]] = {}
+        self.inits: dict[str, Callable] = {}
 
-    def add(self, name: str, shape, init: str, fan_in: int = 0) -> Tensor:
+    def add(self, name: str, shape, init) -> Tensor:
         if name in self.params:
             raise ContractViolation(f"duplicate parameter {name}")
         # a read-only zero view: init_random or deserialize_weights replaces
         # it, so a config alone allocates nothing
         t = Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
         self.params[name] = t
-        self.specs[name] = (init, fan_in)  # read by Model.init_random
+        self.inits[name] = init
         return t
 
 
 class Conv2d:
-    def __init__(self, store, name, cin, cout, k, stride=1,
-                 weight_init="fan_in", bias_init="zero"):
+    def __init__(self, store, name, cin, cout, k, stride=1, gain=1.0, bias_init=_zeros):
         self.stride = stride
-        self.w = store.add(f"{name}.w", (cout, cin, k, k), weight_init, cin * k * k)
+        self.w = store.add(f"{name}.w", (cout, cin, k, k), partial(_fan_in_uniform, gain=gain))
         self.b = store.add(f"{name}.b", (cout,), bias_init)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -169,9 +187,8 @@ class MaskedConv2d:
 
     def __init__(self, store, name, cin, cout, kernel):
         self.mask = T.causal_mask(kernel)
-        self.w = store.add(f"{name}.w", (cout, cin, kernel, kernel), "fan_in",
-                           cin * kernel * kernel)
-        self.b = store.add(f"{name}.b", (cout,), "zero")
+        self.w = store.add(f"{name}.w", (cout, cin, kernel, kernel), _fan_in_uniform)
+        self.b = store.add(f"{name}.b", (cout,), _zeros)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, T.mul(self.w, self.mask), self.b)
@@ -198,11 +215,9 @@ class AttentionBlock:
 
     def __init__(self, store, name, channels):
         self.trunk = [ResBlock(store, f"{name}.trunk{i}", channels) for i in range(3)]
-        self.trunk_out = Conv2d(store, f"{name}.trunk_out", channels, channels, 1,
-                                weight_init="small")
+        self.trunk_out = Conv2d(store, f"{name}.trunk_out", channels, channels, 1, gain=0.01)
         self.mask = [ResBlock(store, f"{name}.mask{i}", channels) for i in range(3)]
-        self.mask_out = Conv2d(store, f"{name}.mask_out", channels, channels, 1,
-                               weight_init="small")
+        self.mask_out = Conv2d(store, f"{name}.mask_out", channels, channels, 1, gain=0.01)
 
     def __call__(self, t: Tensor) -> Tensor:
         u = m = t
@@ -253,19 +268,19 @@ class Model:
                       if config.use_context_x else None)
         self.head_y1 = Conv2d(store, "head_y.conv1", 3 * n, 3 * n, 1)
         self.head_y2 = Conv2d(store, "head_y.conv2", 3 * n, 3 * k * n, 1,
-                              weight_init="small", bias_init="head_out")
+                              gain=0.01, bias_init=_head_bias)
         self.head_x1 = Conv2d(store, "head_x.conv1", 2 * n, 2 * n, 1)
         self.head_x2 = Conv2d(store, "head_x.conv2", 2 * n, 9 * k, 1,
-                              weight_init="small", bias_init="head_out")
+                              gain=0.01, bias_init=_head_bias)
 
         # factorized prior over the hyper-latent; its parameters are stored
         # (and serialized) in the order h0, b0, a0, h1, ...
-        layers = [[store.add(f"prior.{kind}{i}", (n,), "prior_slope" if kind == "h" else "zero")
+        layers = [[store.add(f"prior.{kind}{i}", (n,), _prior_slope if kind == "h" else _zeros)
                    for kind in "hba"] for i in range(FactorizedPrior.N_LAYERS)]
         self.prior = FactorizedPrior(*zip(*layers))
 
         self.params = store.params
-        self._init_specs = store.specs
+        self._inits = store.inits
 
     # -- initialization ----------------------------------------------------
 
@@ -273,27 +288,8 @@ class Model:
         """Deterministic per-parameter init; independent of sibling params so
         ablation configs share values for the keys of the same shape."""
         for name, t in self.params.items():
-            kind, fan_in = self._init_specs[name]
             rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-            if kind == "zero":
-                data = np.zeros(t.data.shape)
-            elif kind == "fan_in":
-                bound = np.sqrt(3.0 / fan_in)
-                data = rng.uniform(-bound, bound, size=t.data.shape)
-            elif kind == "small":
-                bound = 0.01 * np.sqrt(3.0 / fan_in)
-                data = rng.uniform(-bound, bound, size=t.data.shape)
-            elif kind == "prior_slope":
-                data = np.full(t.data.shape, FactorizedPrior.INIT_RAW_SLOPE)
-            elif kind == "head_out":
-                # parameter-head bias over (weights, means, scales) x C x K, as
-                # _entropy_params splits it: uniform mixture weights, zero
-                # means, unit scales
-                data = np.zeros(t.data.shape)
-                data.reshape(3, -1)[2] = np.log(np.expm1(1.0 - SCALE_FLOOR))
-            else:
-                raise ContractViolation(f"unknown init kind {kind}")
-            t.data = data
+            t.data = self._inits[name](rng, t.data.shape)
         return self
 
     # -- state -------------------------------------------------------------
@@ -351,7 +347,7 @@ class Model:
         1x1 head convs, split into the per-channel mixture parameters. With no
         context model, zeros keep head_x.conv1's shape and init unchanged.
         The head's 3*C*K output channels run (weights, means, scales) x C x K,
-        the order `init_random`'s head_out bias also assumes.
+        the order `_head_bias` also assumes.
 
         Returns the Tensors (weights, means, scales), each [B, h, w, C, K]
         and C-contiguous, so the [L, C, K] rows at a batch of locations are
@@ -370,6 +366,15 @@ class Model:
         p = T.reshape(raw, raw.shape[:-1] + (3, -1, self.config.mixtures_k))
         logits, means, raw_scales = (T.select(p, i, axis=-3) for i in range(3))
         return T.softmax(logits), means, T.add(T.softplus(raw_scales), SCALE_FLOOR)
+
+
+def _head_bias(rng, shape):
+    """A head conv2's bias over (weights, means, scales) x C x K, as
+    `Model._entropy_params` splits it: uniform mixture weights, zero means,
+    unit scales."""
+    data = np.zeros(shape)
+    data.reshape(3, -1)[2] = np.log(np.expm1(1.0 - SCALE_FLOOR))
+    return data
 
 
 def log_masses(model: Model, x: Tensor, y: Tensor, z: Tensor) -> tuple[Tensor, Tensor, Tensor]:

@@ -1124,14 +1124,15 @@ class TestBuildCdfOracle:
         [0, 1535, 32000, 32001],
         [0, 32718, 99, 32719, 0],
         [0, 32717, 100, 32719, 0],
-    ], ids=["top-E=second", "top-E=second-1", "tied-top", "two-donors-one-cut",
-            "single-donor", "E=n-1", "E=n-2-small-second", "E=n-2-on-edge", "E=n-2-level",
-            "tied-top-at-ends", "top-last", "second-apart-top-E=second-1",
-            "second-apart-top-E=second"])
+    ], ids=["top-3-over-second-3-empty", "top-2-over-second-3-empty", "tied-top",
+            "falling-bins-between-empty", "full-bin-of-4", "full-bin-of-256",
+            "two-bins-of-256-one-small", "two-bins-of-256-254-apart",
+            "two-bins-of-256-64-apart", "tied-top-at-ends", "top-last",
+            "top-1-over-second-2-empty", "top-2-over-second-2-empty"])
     def test_largest_bin_alone(self, counts):
-        # rows with E empty bins and one or two bins near the top: the
-        # largest bin does not give the E units alone, it gives its share of
-        # all n units, as every other bin does
+        # rows with empty bins and one or two bins near the top: the largest
+        # bin does not give the empty bins' units alone, it gives its share
+        # of all n units, as every other bin does
         self.assert_count_row(counts)
 
     @pytest.mark.parametrize("counts", [
@@ -1149,9 +1150,9 @@ class TestBuildCdfOracle:
         [30000, 2769, 0, 29998, 0, 2769],
         [2769, 0, 29998, 0, 2769, 30000],
     ], ids=["n=2-first-empty", "n=2-last-empty", "n=3-tied-first", "n=3-tied-last",
-            "n=3-tied-ends", "R=top-E", "R=top-E+1-two-donors", "R=top-E+1-one-donor",
-            "top-first", "top-last"])
-    def test_neighbour_bound(self, counts):
+            "n=3-tied-ends", "top-between-small-bins", "big-small-big-small",
+            "small-big-small-big-tiny", "top-first", "top-last"])
+    def test_end_and_tied_bins(self, counts):
         # the first and the last bin are pinned by cum[0] = 0 and
         # cum[n] = 2^16, not by the floor: they follow the same bounds, and
         # tied bins keep counts within one unit of each other
@@ -1163,7 +1164,7 @@ class TestBuildCdfOracle:
     @pytest.mark.parametrize("counts", [[0, 39321, 32768, -6553], [-3, 65539],
                                         [0, 65538, -1, -1]],
                              ids=["one-negative", "all-others-negative", "two-negative"])
-    def test_negative_entry_in_one_donor_rows(self, counts):
+    def test_negative_entries_summing_to_one(self, counts):
         # counts summing to 2^16, one bin above it and one or more negative:
         # the total is one, so only the entry check shows them
         assert sum(counts) == E.CDF_TOTAL
@@ -1171,7 +1172,7 @@ class TestBuildCdfOracle:
             E.build_cdf(np.array(counts) / E.CDF_TOTAL)
 
     @pytest.mark.parametrize("counts", [[0, 32769, 32769, -2], [-1, 32769, 0, 32768]],
-                             ids=["tied-top", "second-above-top-E"])
+                             ids=["tied-top", "negative-first"])
     def test_negative_entry_beside_half_bins(self, counts):
         # two bins at or just above 2^15 and a small negative count: the
         # total is one and no entry is above one
@@ -1181,7 +1182,7 @@ class TestBuildCdfOracle:
 
     @pytest.mark.parametrize("counts", [[0, 20000, 30000, 15537, -1, 0],
                                         [0, 2768, 30001, 2768, 30000, -1]],
-                             ids=["R-negative", "second-above-top-E"])
+                             ids=["negative-before-empty-last", "negative-last"])
     def test_negative_entry_beside_empty_or_last(self, counts):
         # a count of -1 beside an empty bin or at the end of the row: the
         # cumulative still ends at one

@@ -1,4 +1,5 @@
-"""The package exports exactly its version and the codec's error classes."""
+"""The package exports exactly its version and the codec's error classes,
+and those classes keep what they are raised with."""
 
 import inspect
 
@@ -13,3 +14,13 @@ def test_all_lists_version_and_every_error_class():
     assert sorted(nlic.__all__) == sorted(defined | {"__version__"})
     for name in defined:
         assert getattr(nlic, name) is getattr(errors, name)
+
+
+def test_training_diverged_copies_its_components():
+    components = {"rate": float("inf")}
+    err = errors.TrainingDiverged("loss is not finite", components)
+    assert str(err) == "loss is not finite"
+    assert err.components == components and err.components is not components
+    components["rate"] = 0.0
+    assert err.components == {"rate": float("inf")}
+    assert errors.TrainingDiverged("loss is not finite").components == {}

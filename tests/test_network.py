@@ -31,6 +31,7 @@ from nlic.network import (
     ModelConfig,
     _mixture_log_masses,
     _ParamStore,
+    _zeros,
     canonical_config_text,
     config_hash,
     deserialize_weights,
@@ -500,9 +501,9 @@ class TestInit:
 
     def test_duplicate_parameter_rejected(self):
         store = _ParamStore()
-        store.add("head.w", (2, 3), "zeros")
+        store.add("head.w", (2, 3), _zeros)
         with pytest.raises(ContractViolation, match="duplicate parameter head.w"):
-            store.add("head.w", (2, 3), "zeros")
+            store.add("head.w", (2, 3), _zeros)
 
 
 class TestSerialization:

@@ -292,7 +292,13 @@ class TestUpsample2x:
         layer = Upsample2x(store, "up", c)
         assert {k: t.shape for k, t in store.params.items()} == {
             "up.w": (4 * c, c, 3, 3), "up.b": (4 * c,)}
-        assert store.specs == {"up.w": ("fan_in", 9 * c), "up.b": ("zero", 0)}
+        # fan-in uniform weights over the 9c inputs of each output, zero bias
+        bound = np.sqrt(3.0 / (9 * c))
+        np.testing.assert_array_equal(
+            store.inits["up.w"](np.random.default_rng(5), (4 * c, c, 3, 3)),
+            np.random.default_rng(5).uniform(-bound, bound, size=(4 * c, c, 3, 3)))
+        np.testing.assert_array_equal(
+            store.inits["up.b"](np.random.default_rng(5), (4 * c,)), np.zeros(4 * c))
         layer.conv.w.data, layer.conv.b.data = w, np.tile(b4, 4)
         out = layer(T.Tensor(channel_last(x))).data
         np.testing.assert_allclose(channel_first(out),
@@ -487,6 +493,11 @@ class TestSoftmaxGroups:
 
 
 class TestShapeOps:
+    def test_repr_names_shape_and_requires_grad(self):
+        assert repr(T.Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), requires_grad=False)"
+        assert repr(T.Tensor(np.zeros(4), requires_grad=True)) == (
+            "Tensor(shape=(4,), requires_grad=True)")
+
     def test_concat_select_roundtrip(self, rng, kink_guard):
         a = rng.normal(size=(2, 3, 3))
         b = rng.normal(size=(3, 3, 3))
