@@ -7,6 +7,11 @@ determinization onto fixed lattices, and add-one fixed-point CDF
 construction. All public functions are pure over immutable inputs and safe
 to call concurrently.
 
+Each grid builds its scale ladder once, when it is made: the rungs and the
+exact float64 bounds between them (SymbolGrid). determinize then picks a
+scale's rung by a sorted search over the bounds, so the ladder's log and
+power run when a grid is built, not on each call.
+
 Each mixture component lives on the window mu ± TAIL_Z·sd: its cumulative
 is 0 below the window, ndtr inside it and 1 from its upper bound on, so
 both tails fold into the window. ndtr runs only inside the windows, so no
@@ -45,6 +50,52 @@ SCALE_LEVELS = 256
 PMF_EPS = 1e-12
 
 
+# Bisection bracket of a scale bound, in float64 steps either side of the
+# geometric midpoint between its rungs. The true bounds sit up to 9 (pixel
+# grid) and 14 (latent grid) steps from the midpoints; a bound the bracket
+# misses, as on grids with far larger spans, is searched over the whole ladder.
+_BOUND_BRACKET = 64
+
+
+def _scale_ladder(span: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scale ladder from SCALE_FLOOR to span, as read-only float64 arrays:
+    the SCALE_LEVELS rungs lo·(span/lo)^(i/255) with lo = SCALE_FLOOR, and
+    the SCALE_LEVELS - 1 bounds between them.
+
+    The rounding rule clips a scale to [lo, span] and rounds its position
+    log(s/lo)/log(span/lo) on the ladder to the nearest of 255 steps. Bound i
+    is the smallest float64 that the rule takes to rung i + 1, so the rung of
+    any scale is the count of bounds at or below it. Positive floats order as
+    their bit patterns do, so each bound is found by bisection over int64
+    bit patterns, all bounds at once, against the rule itself: within
+    _BOUND_BRACKET steps of the geometric midpoint between its rungs if the
+    bracket holds the bound, over the whole ladder otherwise.
+    """
+    lo = SCALE_FLOOR
+    levels = lo * (span / lo) ** (np.arange(SCALE_LEVELS) / (SCALE_LEVELS - 1))
+
+    def rung(bits):
+        s = np.clip(bits.view(np.float64), lo, span)
+        return np.round(np.log(s / lo) / np.log(span / lo) * (SCALE_LEVELS - 1))
+
+    target = np.arange(1, SCALE_LEVELS)
+    mid = (lo * (span / lo) ** ((target - 0.5) / (SCALE_LEVELS - 1))).view(np.int64)
+    below, above = mid - _BOUND_BRACKET, mid + _BOUND_BRACKET
+    miss = (rung(below) >= target) | (rung(above) < target)
+    below[miss], above[miss] = np.array([lo, span]).view(np.int64)
+    # invariant: rung(below) < target <= rung(above); the mid-point form
+    # cannot overflow int64, as below + above can on the upper rungs
+    while (above - below > 1).any():
+        mid = below + (above - below) // 2
+        up = rung(mid) >= target
+        above = np.where(up, mid, above)
+        below = np.where(up, below, mid)
+    bounds = above.view(np.float64)
+    levels.flags.writeable = False
+    bounds.flags.writeable = False
+    return levels, bounds
+
+
 @dataclass(frozen=True)
 class SymbolGrid:
     """Inclusive integer support [lo, hi] mapped onto the model's value axis.
@@ -60,8 +111,16 @@ class SymbolGrid:
     ramp[m - k : 2m - k], so they cost 2m floats, not (m + 1)·m. Indexing
     them with an integer array copies the rows into a fresh C-contiguous
     array, which callers may write to; the rows themselves overlap in
-    memory, so they are read-only. Equality, hashing and repr use the four
-    parameters only, and dataclasses.replace builds new tables.
+    memory, so they are read-only.
+
+    The grid also holds its scale ladder (_scale_ladder), read-only:
+    `scale_levels`, the SCALE_LEVELS rungs from SCALE_FLOOR to the span, and
+    `scale_bounds`, the SCALE_LEVELS - 1 floats between them, bound i being
+    the smallest float64 that the ladder's log rounding takes to rung i + 1.
+    A grid whose span is not above SCALE_FLOOR, or exceeds it by a factor
+    too large for a float, raises ContractViolation: it has no ladder.
+    Equality, hashing and repr use the four parameters only, and
+    dataclasses.replace builds new tables.
     """
 
     lo: int
@@ -70,6 +129,8 @@ class SymbolGrid:
     lo_value: float
     edges: np.ndarray = field(init=False, repr=False, compare=False)
     step_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    scale_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    scale_bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lo >= self.hi:
@@ -78,6 +139,10 @@ class SymbolGrid:
             raise ContractViolation(f"grid step_norm {self.step_norm} must be finite and positive")
         if not np.isfinite(self.lo_value):
             raise ContractViolation(f"grid lo_value {self.lo_value} must be finite")
+        if not 1.0 < self.span / SCALE_FLOOR < np.inf:
+            raise ContractViolation(
+                f"grid span {self.span} must exceed the scale floor {SCALE_FLOOR} "
+                "by a finite factor")
         s = np.arange(self.lo, self.hi + 2, dtype=np.float64)
         edges = self.lo_value + (s - self.lo) * self.step_norm - self.step_norm / 2.0
         edges.flags.writeable = False
@@ -85,6 +150,9 @@ class SymbolGrid:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "step_rows",
                            np.lib.stride_tricks.sliding_window_view(ramp, edges.size)[::-1])
+        levels, bounds = _scale_ladder(self.span)
+        object.__setattr__(self, "scale_levels", levels)
+        object.__setattr__(self, "scale_bounds", bounds)
 
     @property
     def n_symbols(self) -> int:
@@ -342,12 +410,11 @@ def round_quantize(values, grid: SymbolGrid) -> tuple[np.ndarray, int]:
 
 
 def _scale_lattice_round(scales: np.ndarray, grid: SymbolGrid) -> np.ndarray:
-    lo = SCALE_FLOOR
-    hi = grid.span
-    s = np.clip(scales, lo, hi)
-    ratio = np.log(s / lo) / np.log(hi / lo)  # in [0, 1]
-    idx = np.round(ratio * (SCALE_LEVELS - 1))
-    return lo * (hi / lo) ** (idx / (SCALE_LEVELS - 1))
+    # the rung index is the count of bounds at or below the scale; NaN sorts
+    # above every bound, so it is put back after the lookup
+    out = grid.scale_levels[grid.scale_bounds.searchsorted(scales, side="right")]
+    np.copyto(out, scales, where=np.isnan(scales))
+    return out
 
 
 def _weights_largest_remainder(weights: np.ndarray) -> np.ndarray:
@@ -378,6 +445,13 @@ def determinize(weights, means, scales, grid: SymbolGrid):
     between the scale floor and the grid span. Idempotent. The weight units
     left after flooring go to the components with the largest remainders,
     ties to the lowest mixture index.
+
+    A scale's rung is the count of the grid's scale_bounds at or below it,
+    found by searchsorted: the same rung as clipping the scale to the ladder
+    and rounding its log position, bit for bit, with no log or power per
+    call. Scales at or below the floor, -0.0 and -inf among them, take the
+    bottom rung; scales at or above the span, +inf among them, the top rung.
+    NaN stays NaN.
 
     The weights come back summing exactly to one only when each input row
     already sums to one within K/4096 (precisely: when its floored counts

@@ -405,8 +405,7 @@ class TestNdtrDips:
         # every scale level, every 8th mean phase, and means at the lowest,
         # the middle and the second-highest symbol: 98,304 rows a grid,
         # built in batches of 32 scale levels
-        levels = np.arange(E.SCALE_LEVELS) / (E.SCALE_LEVELS - 1)
-        scales = E.SCALE_FLOOR * (grid.span / E.SCALE_FLOOR) ** levels
+        scales = grid.scale_levels
         phases = np.arange(0, E.MEAN_LATTICE, 8) / E.MEAN_LATTICE * grid.step_norm
         for symbol in (grid.lo, (grid.lo + grid.hi) // 2, grid.hi - 1):
             for batch in np.split(scales, 8):
@@ -634,11 +633,10 @@ class TestDeterminize:
         np.testing.assert_array_equal(counts.sum(axis=-1), E.WEIGHT_LATTICE)
 
     def test_scales_on_geometric_ladder(self, rng):
-        w, mu, sd = random_gmm_params(rng, (100,), 2, E.PIXEL_GRID)
-        _, _, ds = E.determinize(w, mu, sd, E.PIXEL_GRID)
-        lo, hi = E.SCALE_FLOOR, E.PIXEL_GRID.span
-        idx = np.log(ds / lo) / np.log(hi / lo) * (E.SCALE_LEVELS - 1)
-        np.testing.assert_allclose(idx, np.round(idx), atol=1e-9)
+        for grid in (E.PIXEL_GRID, E.LATENT_GRID):
+            w, mu, sd = random_gmm_params(rng, (100,), 2, grid)
+            _, _, ds = E.determinize(w, mu, sd, grid)
+            assert np.isin(ds, grid.scale_levels).all()
 
     def test_rate_shift_small(self, rng):
         # expected excess codelength from coding with determinized+quantized
@@ -675,10 +673,21 @@ def _determinize_ref(weights, means, scales, grid):
     w = (counts / E.WEIGHT_LATTICE).reshape(shape)
     mean_step = grid.step_norm / E.MEAN_LATTICE
     m = np.round(np.asarray(means, dtype=np.float64) / mean_step) * mean_step
+    return w, m, _scale_level_ref(_scale_rung_ref(scales, grid), grid)
+
+
+def _scale_rung_ref(scales, grid):
+    """Reference rung index of each scale, as floats: clip to [SCALE_FLOOR,
+    span], then round the position on the log scale to one of 255 steps."""
     lo, hi = E.SCALE_FLOOR, grid.span
     ratio = np.log(np.clip(np.asarray(scales, dtype=np.float64), lo, hi) / lo) / np.log(hi / lo)
-    idx = np.round(ratio * (E.SCALE_LEVELS - 1))
-    return w, m, lo * (hi / lo) ** (idx / (E.SCALE_LEVELS - 1))
+    return np.round(ratio * (E.SCALE_LEVELS - 1))
+
+
+def _scale_level_ref(idx, grid):
+    """Reference scale of each rung index."""
+    lo, hi = E.SCALE_FLOOR, grid.span
+    return lo * (hi / lo) ** (idx / (E.SCALE_LEVELS - 1))
 
 
 def tied_weights(rng, shape, k):
@@ -723,21 +732,25 @@ class TestDeterminizeReference:
     @GRIDS
     def test_non_finite_and_non_positive_scales(self, grid):
         # scales a diverged head could emit: NaN stays NaN, so gmm_pmf_table
-        # refuses the batch and names the scales instead of coding it; +inf
-        # and 1e308 go to the ladder's top rung, the grid span, and the rest
-        # to its bottom rung, SCALE_FLOOR
-        sd = np.array([[math.nan], [math.inf], [-math.inf], [0.0], [-1.0], [5e-324], [1e308]])
+        # refuses the batch and names the scales instead of coding it; +inf,
+        # 1e308, the span and its upper neighbour go to the ladder's top
+        # rung, the grid span, and the rest, -0.0, the floor and its lower
+        # neighbour among them, to its bottom rung, SCALE_FLOOR
+        top, bottom = grid.span, E.SCALE_FLOOR
+        sd = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308,
+                       bottom, np.nextafter(bottom, 0.0), top, np.nextafter(top, math.inf)])
+        sd = sd[:, None]
         w, mu = np.ones_like(sd), np.zeros_like(sd)
         self.assert_same(w, mu, sd, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = E.determinize(w, mu, sd, grid)
-        top, bottom = grid.span, E.SCALE_FLOOR
         np.testing.assert_array_equal(batch[2][:, 0], [math.nan, top, bottom, bottom, bottom,
-                                                       bottom, top])
+                                                       bottom, bottom, top, bottom, bottom,
+                                                       top, top])
         with pytest.raises(ContractViolation, match="scales"):
             E.gmm_pmf_table(*batch, grid)
-        assert E.gmm_pmf_table(*(a[1:] for a in batch), grid).shape == (6, grid.n_symbols)
+        assert E.gmm_pmf_table(*(a[1:] for a in batch), grid).shape == (11, grid.n_symbols)
 
     @GRIDS
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -774,6 +787,64 @@ class TestDeterminizeReference:
     @given(determinize_batches())
     def test_random_batches(self, batch):
         self.assert_same(*batch)
+
+
+# a grid whose span is far above the benchmark grids', where the bisection
+# bracket around the geometric midpoints misses bounds and the ladder builder
+# searches the whole ladder for them
+WIDE_GRID = E.SymbolGrid(lo=0, hi=1, step_norm=1e300, lo_value=0.0)
+LADDER_GRIDS = pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID, WIDE_GRID],
+                                       ids=["pixel", "latent", "wide"])
+
+
+class TestScaleLadder:
+    """The grid's scale rungs and bounds against the reference rule of
+    _determinize_ref, which computes each scale's rung by log and round."""
+
+    @LADDER_GRIDS
+    def test_levels_are_reference_rungs(self, grid):
+        idx = np.arange(E.SCALE_LEVELS, dtype=np.float64)
+        assert grid.scale_levels.tobytes() == _scale_level_ref(idx, grid).tobytes()
+        np.testing.assert_array_equal(_scale_rung_ref(grid.scale_levels, grid), idx)
+
+    @LADDER_GRIDS
+    def test_bounds_are_smallest_scales_of_each_rung(self, grid):
+        bounds = grid.scale_bounds
+        assert bounds.dtype == np.float64 and bounds.shape == (E.SCALE_LEVELS - 1,)
+        rungs = np.arange(1, E.SCALE_LEVELS)
+        np.testing.assert_array_equal(_scale_rung_ref(bounds, grid), rungs)
+        np.testing.assert_array_equal(_scale_rung_ref(np.nextafter(bounds, 0.0), grid), rungs - 1)
+
+    def test_bracket_misses_on_wide_grid(self):
+        # WIDE_GRID takes the builder's whole-ladder search: some bound lies
+        # more than the bracket's steps from the midpoint between its rungs
+        lo, hi = E.SCALE_FLOOR, WIDE_GRID.span
+        mid = lo * (hi / lo) ** ((np.arange(1, E.SCALE_LEVELS) - 0.5) / (E.SCALE_LEVELS - 1))
+        offset = WIDE_GRID.scale_bounds.view(np.int64) - mid.view(np.int64)
+        assert np.abs(offset).max() > E._BOUND_BRACKET
+
+    @GRIDS
+    def test_log_uniform_scales(self, grid):
+        # 2M scales from 1e-6 to 1e3, in chunks of 2^18
+        rng = np.random.default_rng(2208)
+        for _ in range(8):
+            sd = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), size=1 << 18))
+            got = E._scale_lattice_round(sd, grid)
+            assert got.tobytes() == _scale_level_ref(_scale_rung_ref(sd, grid), grid).tobytes()
+
+    @GRIDS
+    def test_alone_or_batched(self, grid, rng):
+        # bounds and their lower neighbours, rungs and random scales get the
+        # reference's rungs in one batch, and each scale passed alone as a
+        # size-1 array gets the batch's rung
+        sd = np.concatenate([grid.scale_bounds, np.nextafter(grid.scale_bounds, 0.0),
+                             grid.scale_levels, rng.uniform(0.0, 2 * grid.span, 64)])
+        w, mu = np.ones_like(sd), np.zeros_like(sd)
+        batch = E.determinize(w[:, None], mu[:, None], sd[:, None], grid)[2][:, 0]
+        assert batch.tobytes() == _scale_level_ref(_scale_rung_ref(sd, grid), grid).tobytes()
+        alone = [E.determinize(w[i:i + 1, None], mu[i:i + 1, None], sd[i:i + 1, None],
+                               grid)[2].item() for i in range(sd.size)]
+        assert batch.tobytes() == np.array(alone).tobytes()
 
 
 # rows of counts that return a table, each named for its shape: no empty bin,
@@ -953,8 +1024,7 @@ LADDER_MEAN_OFFSETS = (0.0, 0.37, 0.5, -127.0)
 def ladder_pmf_rows(grid):
     """Determinized K=1 pmf rows at every scale of the ladder, SCALE_FLOOR to
     the grid span, for each of LADDER_MEAN_OFFSETS."""
-    levels = np.arange(E.SCALE_LEVELS) / (E.SCALE_LEVELS - 1)
-    scales = E.SCALE_FLOOR * (grid.span / E.SCALE_FLOOR) ** levels
+    scales = grid.scale_levels
     centre = grid.value((grid.lo + grid.hi) // 2)
     mu, sd = np.broadcast_arrays(
         centre + np.asarray(LADDER_MEAN_OFFSETS)[:, None] * grid.step_norm, scales)
@@ -1251,22 +1321,26 @@ class TestSymbolGrid:
         ids=["pixel", "latent", "replaced"])
     def test_tables_built_once(self, grid):
         # read-only, one object each per grid, and the same floats as the
-        # formula value(s) - step/2 over s = lo ... hi + 1
+        # formula value(s) - step/2 over s = lo ... hi + 1; the scale ladder
+        # against its reference rule is TestScaleLadder's
         s = np.arange(grid.lo, grid.hi + 2, dtype=np.float64)
         formula = grid.lo_value + (s - grid.lo) * grid.step_norm - grid.step_norm / 2.0
         n = grid.n_symbols + 1
         assert grid.edges.tobytes() == formula.tobytes()
         np.testing.assert_array_equal(grid.step_rows, np.triu(np.ones((n + 1, n))))
-        for table in (grid.edges, grid.step_rows):
+        tables = ("edges", "step_rows", "scale_levels", "scale_bounds")
+        for name in tables:
+            table = getattr(grid, name)
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.5
-        assert grid.edges is grid.edges and grid.step_rows is grid.step_rows
+            assert getattr(grid, name) is table
         # replace builds new tables; equality, hashing and repr see the four
         # parameters only
         again = dataclasses.replace(grid)
-        assert again.edges is not grid.edges and again.step_rows is not grid.step_rows
-        assert again.edges.tobytes() == grid.edges.tobytes()
+        for name in tables:
+            assert getattr(again, name) is not getattr(grid, name)
+            assert getattr(again, name).tobytes() == getattr(grid, name).tobytes()
         assert again == grid and hash(again) == hash(grid) and repr(again) == repr(grid)
         assert repr(grid) == (f"SymbolGrid(lo={grid.lo}, hi={grid.hi}, "
                               f"step_norm={grid.step_norm}, lo_value={grid.lo_value})")
@@ -1281,3 +1355,14 @@ class TestSymbolGrid:
     def test_non_finite_grid_rejected(self, step_norm, lo_value):
         with pytest.raises(ContractViolation, match="finite"):
             E.SymbolGrid(lo=0, hi=255, step_norm=step_norm, lo_value=lo_value)
+
+    @pytest.mark.parametrize("step_norm", [1e-4, E.SCALE_FLOOR, 1e306],
+                             ids=["below-floor", "at-floor", "ratio-overflows"])
+    def test_span_without_ladder_rejected(self, step_norm):
+        # a span at or below the scale floor leaves no ladder above it (at
+        # the floor, the old rule divided 0 by 0), and one over 1.8e305
+        # makes span / SCALE_FLOOR infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="span"):
+                E.SymbolGrid(lo=0, hi=1, step_norm=step_norm, lo_value=0.0)
