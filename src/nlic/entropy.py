@@ -50,13 +50,6 @@ SCALE_LEVELS = 256
 PMF_EPS = 1e-12
 
 
-# Bisection bracket of a scale bound, in float64 steps either side of the
-# geometric midpoint between its rungs. The true bounds sit up to 9 (pixel
-# grid) and 14 (latent grid) steps from the midpoints; a bound the bracket
-# misses, as on grids with far larger spans, is searched over the whole ladder.
-_BOUND_BRACKET = 64
-
-
 def _scale_ladder(span: float) -> tuple[np.ndarray, np.ndarray]:
     """The scale ladder from SCALE_FLOOR to span, as read-only float64 arrays:
     the SCALE_LEVELS rungs lo·(span/lo)^(i/255) with lo = SCALE_FLOOR, and
@@ -65,32 +58,25 @@ def _scale_ladder(span: float) -> tuple[np.ndarray, np.ndarray]:
     The rounding rule clips a scale to [lo, span] and rounds its position
     log(s/lo)/log(span/lo) on the ladder to the nearest of 255 steps. Bound i
     is the smallest float64 that the rule takes to rung i + 1, so the rung of
-    any scale is the count of bounds at or below it. Positive floats order as
-    their bit patterns do, so each bound is found by bisection over int64
-    bit patterns, all bounds at once, against the rule itself: within
-    _BOUND_BRACKET steps of the geometric midpoint between its rungs if the
-    bracket holds the bound, over the whole ladder otherwise.
+    any scale is the count of bounds at or below it. Each bound starts at the
+    geometric midpoint between its rungs and walks one float at a time, all
+    bounds at once, against the rule itself: up while the rule still takes it
+    below rung i + 1, then down while the float under it already reaches that
+    rung. Each loop moves one way only, so both end; the walk takes tens of
+    steps on the codec's grids and grows with log(span/lo).
     """
-    lo = SCALE_FLOOR
-    levels = lo * (span / lo) ** (np.arange(SCALE_LEVELS) / (SCALE_LEVELS - 1))
+    lo, top = SCALE_FLOOR, SCALE_LEVELS - 1
+    levels = lo * (span / lo) ** (np.arange(SCALE_LEVELS) / top)
 
-    def rung(bits):
-        s = np.clip(bits.view(np.float64), lo, span)
-        return np.round(np.log(s / lo) / np.log(span / lo) * (SCALE_LEVELS - 1))
+    def rung(s):
+        return np.round(np.log(np.clip(s, lo, span) / lo) / np.log(span / lo) * top)
 
     target = np.arange(1, SCALE_LEVELS)
-    mid = (lo * (span / lo) ** ((target - 0.5) / (SCALE_LEVELS - 1))).view(np.int64)
-    below, above = mid - _BOUND_BRACKET, mid + _BOUND_BRACKET
-    miss = (rung(below) >= target) | (rung(above) < target)
-    below[miss], above[miss] = np.array([lo, span]).view(np.int64)
-    # invariant: rung(below) < target <= rung(above); the mid-point form
-    # cannot overflow int64, as below + above can on the upper rungs
-    while (above - below > 1).any():
-        mid = below + (above - below) // 2
-        up = rung(mid) >= target
-        above = np.where(up, mid, above)
-        below = np.where(up, below, mid)
-    bounds = above.view(np.float64)
+    bounds = lo * (span / lo) ** ((target - 0.5) / top)
+    while (low := rung(bounds) < target).any():
+        bounds = np.where(low, np.nextafter(bounds, np.inf), bounds)
+    while (high := rung(np.nextafter(bounds, 0.0)) >= target).any():
+        bounds = np.where(high, np.nextafter(bounds, 0.0), bounds)
     levels.flags.writeable = False
     bounds.flags.writeable = False
     return levels, bounds
@@ -493,10 +479,10 @@ def _cdf_grid(n: int):
 
 
 def build_cdf(pmf: np.ndarray) -> np.ndarray:
-    """Quantize a discrete pmf to a strictly increasing integer CDF by add-one
-    quantization: every bin gets one unit and the other 2^16 - n units
-    follow the pmf (the "leaky" quantization of constriction, Bamler 2022,
-    arXiv:2201.01741), so no bin needs repair.
+    """Quantize a discrete pmf, one row of n symbols, to a strictly increasing
+    integer CDF by add-one quantization: every bin gets one unit and the
+    other 2^16 - n units follow the pmf (the "leaky" quantization of
+    constriction, Bamler 2022, arXiv:2201.01741), so no bin needs repair.
 
     With C_i = p[0] + ... + p[i-1], summed left to right in float64, and
     M = 2^16 - n for n symbols, the table is
@@ -516,14 +502,17 @@ def build_cdf(pmf: np.ndarray) -> np.ndarray:
       tail bins of gmm_pmf_table take theirs.
 
     So the coded pmf is (1 - n/2^16) * p + 1/2^16 up to one unit per bin.
-    An empty pmf, more than 2^15 symbols, a negative or NaN entry, and an
-    entry or a total of at least 1 + 2^-16 raise ContractViolation, before
-    anything is scaled.
+    An empty pmf, a pmf that is not one row (a 0-d array or a batch of
+    rows, which is not flattened), more than 2^15 symbols, a negative or NaN
+    entry, and an entry or a total of at least 1 + 2^-16 raise
+    ContractViolation, before anything is scaled.
     """
-    p = np.asarray(pmf, dtype=np.float64).ravel()
+    p = np.asarray(pmf, dtype=np.float64)
     n = p.size
     if n == 0:
         raise ContractViolation("pmf has no symbols")
+    if p.ndim != 1:
+        raise ContractViolation(f"pmf of shape {p.shape} is not one row of symbols")
     if n > CDF_TOTAL // 2:
         raise ContractViolation(
             f"support size {n} exceeds {CDF_TOTAL // 2}; cannot give every symbol mass")

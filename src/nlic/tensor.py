@@ -33,7 +33,10 @@ task) leaves recording on in every other.
 
 ``ndtr`` is scipy's ufunc, loaded from the compiled module that defines it
 rather than through ``scipy.special``, whose import is most of a process's
-start-up; ``entropy`` takes it from here.
+start-up; ``entropy`` takes it from here. Never pass ``where=`` to
+``ndtr``: with a scattered mask it segfaults or corrupts the heap on scipy
+1.17.1, so mask by gathering the values first. A test walks every nlic
+module and fails on such a call.
 """
 
 from __future__ import annotations

@@ -789,12 +789,18 @@ class TestDeterminizeReference:
         self.assert_same(*batch)
 
 
-# a grid whose span is far above the benchmark grids', where the bisection
-# bracket around the geometric midpoints misses bounds and the ladder builder
-# searches the whole ladder for them
+# a grid whose span is far above the benchmark grids', where bounds lie up to
+# about a thousand floats from the geometric midpoints the ladder's walk
+# starts at
 WIDE_GRID = E.SymbolGrid(lo=0, hi=1, step_norm=1e300, lo_value=0.0)
-LADDER_GRIDS = pytest.mark.parametrize("grid", [E.PIXEL_GRID, E.LATENT_GRID, WIDE_GRID],
-                                       ids=["pixel", "latent", "wide"])
+# the spans at the ends of the range a grid accepts: just above the scale
+# floor, where the walk is shortest, and near the float limit, where it is
+# longest (over a thousand steps)
+LADDER_GRIDS = pytest.mark.parametrize(
+    "grid", [E.PIXEL_GRID, E.LATENT_GRID, WIDE_GRID,
+             E.SymbolGrid(lo=0, hi=1, step_norm=1.5e-3, lo_value=0.0),
+             E.SymbolGrid(lo=0, hi=1, step_norm=1.7e305, lo_value=0.0)],
+    ids=["pixel", "latent", "wide", "near-floor", "near-limit"])
 
 
 class TestScaleLadder:
@@ -814,14 +820,6 @@ class TestScaleLadder:
         rungs = np.arange(1, E.SCALE_LEVELS)
         np.testing.assert_array_equal(_scale_rung_ref(bounds, grid), rungs)
         np.testing.assert_array_equal(_scale_rung_ref(np.nextafter(bounds, 0.0), grid), rungs - 1)
-
-    def test_bracket_misses_on_wide_grid(self):
-        # WIDE_GRID takes the builder's whole-ladder search: some bound lies
-        # more than the bracket's steps from the midpoint between its rungs
-        lo, hi = E.SCALE_FLOOR, WIDE_GRID.span
-        mid = lo * (hi / lo) ** ((np.arange(1, E.SCALE_LEVELS) - 0.5) / (E.SCALE_LEVELS - 1))
-        offset = WIDE_GRID.scale_bounds.view(np.int64) - mid.view(np.int64)
-        assert np.abs(offset).max() > E._BOUND_BRACKET
 
     @GRIDS
     def test_log_uniform_scales(self, grid):
@@ -917,6 +915,13 @@ class TestBuildCdf:
         # the stream under it and blame the data
         with pytest.raises(ContractViolation, match="no symbols"):
             E.build_cdf(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 4), ()])
+    def test_pmf_not_one_row_rejected(self, shape):
+        # rows are not flattened into one table: two half-mass rows would
+        # pass the checks as a single 8-symbol pmf
+        with pytest.raises(ContractViolation, match="not one row"):
+            E.build_cdf(np.full(shape, 0.125))
 
     @pytest.mark.parametrize("pmf", [[0.5, np.nan, 0.5], [0.6] * 3, [-0.5, 0.25]],
                              ids=["nan", "above-one", "negative"])

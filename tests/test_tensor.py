@@ -1,6 +1,7 @@
 """Autodiff engine tests: oracle comparisons, finite-difference checks and
 the no_grad context."""
 
+import ast
 import importlib.machinery
 import importlib.util
 import itertools
@@ -819,3 +820,27 @@ class TestNdtrSource:
             monkeypatch.setattr(importlib.util, "module_from_spec", module_from_spec)
         assert T._load_ndtr() is scipy.special.ndtr
         assert self.MODULE not in sys.modules
+
+
+def _masked_ndtr_calls(source):
+    """Line numbers of the calls to ndtr, by name or attribute, that pass a
+    `where` keyword."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ndtr"
+            and any(k.arg == "where" for k in node.keywords)]
+
+
+def test_no_ndtr_call_passes_where():
+    # ndtr with a scattered where= mask segfaults or corrupts the heap on
+    # scipy 1.17.1 (module docstring of nlic.tensor)
+    assert _masked_ndtr_calls("ndtr(z, out=o, where=m)\nT.ndtr(z, where=m)\n"
+                              "ndtr(z, out=o)\nnp.exp(z, where=m)\n") == [1, 2]
+    src = os.path.dirname(nlic.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                if lines := _masked_ndtr_calls(f.read()):
+                    found[name] = lines
+    assert found == {}
